@@ -22,17 +22,32 @@ struct AggState {
   Value min, max;
 };
 
+/// Folds one input into `s`, touching only the fields `kind` finalizes
+/// from: COUNT(*) and COUNT count, SUM and AVG also add, MIN and MAX only
+/// compare. The untouched fields keep their defaults, so AggMerge and the
+/// spill encoding treat every kind alike.
 inline void AggUpdate(AggState& s, optimizer::AggKind kind, const Value& v) {
   s.count_star++;
-  if (kind == optimizer::AggKind::kCountStar) return;
-  if (v.is_null()) return;
+  if (kind == optimizer::AggKind::kCountStar || v.is_null()) return;
   s.count++;
-  if (v.type() == TypeId::kDouble) s.int_only = false;
-  const double d = v.type() == TypeId::kVarchar ? 0 : v.AsDouble();
-  s.sum += d;
-  if (!s.has || v.Compare(s.min) < 0) s.min = v;
-  if (!s.has || v.Compare(s.max) > 0) s.max = v;
-  s.has = true;
+  switch (kind) {
+    case optimizer::AggKind::kSum:
+    case optimizer::AggKind::kAvg:
+      if (v.type() == TypeId::kDouble) s.int_only = false;
+      if (v.type() != TypeId::kVarchar) s.sum += v.AsDouble();
+      return;
+    case optimizer::AggKind::kMin:
+      if (!s.has || v.Compare(s.min) < 0) s.min = v;
+      s.has = true;
+      return;
+    case optimizer::AggKind::kMax:
+      if (!s.has || v.Compare(s.max) > 0) s.max = v;
+      s.has = true;
+      return;
+    case optimizer::AggKind::kCountStar:
+    case optimizer::AggKind::kCount:
+      return;
+  }
 }
 
 inline void AggMerge(AggState& into, const AggState& from) {

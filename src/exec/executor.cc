@@ -23,7 +23,7 @@
 namespace hdb::exec {
 
 // Default row→batch adapter: any operator that only speaks the row
-// protocol (nested-loop join, sort) still participates in batch flow by
+// protocol (the nested-loop joins) still participates in batch flow by
 // pulling itself row-at-a-time into the caller's batch. CaptureRow copies
 // the bound slots into batch-owned storage, so the batch's pointer
 // lifetime contract holds even though the source pointers rotate per row.
@@ -2453,9 +2453,17 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
 };
 
 // ---------------------------------------------------------------------------
-// Sort (external merge when over quota)
+// Sort (top-N under a LIMIT, external merge when over quota)
 // ---------------------------------------------------------------------------
 
+/// Batch-native sort. Without a limit it buffers every input row, sorts
+/// stably by the ORDER BY keys and, over quota, spills sorted runs that a
+/// streaming merge combines. With plan->limit = N (set by the optimizer
+/// when a LIMIT sits directly above the ORDER BY) the buffer is a bounded
+/// heap of the N best rows ordered by (keys, arrival sequence): a row no
+/// better than the heap's worst is dropped once its keys are evaluated,
+/// without being copied, and ties keep exactly the rows and the order a
+/// stable sort truncated to N gives.
 class SortOp : public Operator, public MemoryConsumer {
  public:
   SortOp(const PlanNode* plan, std::unique_ptr<Operator> child,
@@ -2472,7 +2480,11 @@ class SortOp : public Operator, public MemoryConsumer {
     merge_.reset();
     merging_ = false;
     merge_read_counted_ = false;
+    top_n_ = plan_->limit >= 0;
+    group_bound_ = false;
+    seq_ = 0;
     pos_ = 0;
+    emitted_ = 0;
     if (ec_->memory != nullptr) {
       plan_level = 3;
       predicted_pages = plan_->memory_quota_pages;
@@ -2483,24 +2495,44 @@ class SortOp : public Operator, public MemoryConsumer {
   }
 
   Result<bool> Next(RowContext* ctx) override {
-    if (merging_) {
-      std::vector<Value> flat;
-      HDB_ASSIGN_OR_RETURN(const bool more, merge_->Next(&flat));
-      if (!more) {
-        if (!merge_read_counted_) {
-          for (const auto& run : runs_) {
-            ec_->stats.spill_bytes_read += run->byte_count();
-          }
-          merge_read_counted_ = true;
-        }
-        return false;
-      }
-      Bind(Unflatten(flat), ctx);
-      return true;
+    HDB_ASSIGN_OR_RETURN(const MatRow* r, NextRow(&current_));
+    if (r == nullptr) return false;
+    for (size_t q = 0; q < ctx->rows.size(); ++q) ctx->rows[q] = nullptr;
+    for (size_t k = 0; k < quants_.size(); ++k) {
+      ctx->rows[quants_[k]] = &r->slots[k];
     }
-    if (pos_ >= rows_.size()) return false;
-    Bind(rows_[pos_++], ctx);
+    if (r->has_group) ctx->rows[ec_->num_quantifiers] = &r->group_row;
     return true;
+  }
+
+  Result<bool> NextBatch(RowBatch* b) override {
+    b->Reset();
+    // Slot pointers go straight into the sorted rows (or, while merging
+    // spilled runs, into emit_buf_), which stay put until the next call.
+    if (merging_ && emit_buf_.size() < b->capacity()) {
+      emit_buf_.resize(b->capacity());
+    }
+    slot_cols_.resize(quants_.size());
+    for (size_t k = 0; k < quants_.size(); ++k) {
+      slot_cols_[k] = b->BindSlot(quants_[k]);
+    }
+    const table::Row** group_col =
+        group_bound_ ? b->BindSlot(ec_->num_quantifiers) : nullptr;
+    size_t n = 0;
+    while (n < b->capacity()) {
+      HDB_ASSIGN_OR_RETURN(const MatRow* r,
+                           NextRow(merging_ ? &emit_buf_[n] : nullptr));
+      if (r == nullptr) break;
+      for (size_t k = 0; k < quants_.size(); ++k) {
+        slot_cols_[k][n] = &r->slots[k];
+      }
+      if (group_col != nullptr) {
+        group_col[n] = r->has_group ? &r->group_row : nullptr;
+      }
+      ++n;
+    }
+    b->SetSize(n);
+    return n > 0;
   }
 
   void Close() override {
@@ -2528,6 +2560,10 @@ class SortOp : public Operator, public MemoryConsumer {
 
   Result<uint64_t> SpillSome(uint64_t /*target_bytes*/) override {
     if (merging_ || pending_.empty()) return uint64_t{0};
+    // A top-N heap asked to give its memory back becomes the first run and
+    // the plain external sort takes over: the rows the heap already
+    // dropped cannot be among the first N, and emission still stops at N.
+    top_n_ = false;
     HDB_RETURN_IF_ERROR(WriteRun());
     const uint64_t freed = bytes_held_;
     bytes_held_ = 0;
@@ -2540,25 +2576,31 @@ class SortOp : public Operator, public MemoryConsumer {
 
  private:
   struct MatRow {
-    std::vector<std::vector<Value>> slots;  // indexed by quantifier
-    std::vector<Value> group_row;           // pseudo-quantifier content
+    std::vector<table::Row> slots;  // one per quants_ entry
+    table::Row group_row;           // pseudo-quantifier content
     bool has_group = false;
-    std::vector<Value> keys;                // precomputed sort keys
+    std::vector<Value> keys;        // precomputed sort keys
+    uint64_t seq = 0;               // arrival order, the tie-breaker
   };
 
-  int Compare(const MatRow& a, const MatRow& b) const {
+  int CompareKeys(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
     for (size_t i = 0; i < plan_->order.size(); ++i) {
-      const int c = a.keys[i].Compare(b.keys[i]);
+      const int c = a[i].Compare(b[i]);
       if (c != 0) return plan_->order[i].ascending ? c : -c;
     }
     return 0;
   }
 
+  /// Output order: by keys, then by arrival — a stable sort.
+  bool Before(const MatRow& a, const MatRow& b) const {
+    const int c = CompareKeys(a.keys, b.keys);
+    return c != 0 ? c < 0 : a.seq < b.seq;
+  }
+
   void SortPending() {
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [this](const MatRow& a, const MatRow& b) {
-                       return Compare(a, b) < 0;
-                     });
+    std::sort(pending_.begin(), pending_.end(),
+              [this](const MatRow& a, const MatRow& b) { return Before(a, b); });
   }
 
   /// Sorts the pending buffer and writes it out as one run, propagating
@@ -2584,69 +2626,140 @@ class SortOp : public Operator, public MemoryConsumer {
     flat.push_back(Value::Boolean(r.has_group));
     flat.push_back(Value::Bigint(static_cast<int64_t>(r.group_row.size())));
     for (const Value& v : r.group_row) flat.push_back(v);
-    for (const int q : quants_) {
-      const auto& slot = r.slots[q];
+    for (const auto& slot : r.slots) {
       flat.push_back(Value::Bigint(static_cast<int64_t>(slot.size())));
       for (const Value& v : slot) flat.push_back(v);
     }
     return flat;
   }
 
-  MatRow Unflatten(const std::vector<Value>& flat) const {
-    MatRow r;
-    size_t pos = 0;
-    r.keys.assign(flat.begin(), flat.begin() + plan_->order.size());
-    pos = plan_->order.size();
-    r.has_group = flat[pos++].AsBool();
+  /// Decodes a run tuple into `r`, reusing its storage.
+  void Unflatten(const std::vector<Value>& flat, MatRow* r) const {
+    size_t pos = plan_->order.size();
+    r->keys.assign(flat.begin(), flat.begin() + pos);
+    r->has_group = flat[pos++].AsBool();
     const auto garity = static_cast<size_t>(flat[pos++].AsInt());
-    r.group_row.assign(flat.begin() + pos, flat.begin() + pos + garity);
+    r->group_row.assign(flat.begin() + pos, flat.begin() + pos + garity);
     pos += garity;
-    r.slots.resize(ec_->num_quantifiers + 1);
-    for (const int q : quants_) {
+    r->slots.resize(quants_.size());
+    for (auto& slot : r->slots) {
       const auto arity = static_cast<size_t>(flat[pos++].AsInt());
-      r.slots[q].assign(flat.begin() + pos, flat.begin() + pos + arity);
+      slot.assign(flat.begin() + pos, flat.begin() + pos + arity);
       pos += arity;
     }
-    return r;
   }
 
-  void Bind(const MatRow& r, RowContext* ctx) {
-    current_ = r;
-    for (size_t q = 0; q < ctx->rows.size(); ++q) ctx->rows[q] = nullptr;
-    for (const int q : quants_) ctx->rows[q] = &current_.slots[q];
-    if (current_.has_group) {
-      ctx->rows[ec_->num_quantifiers] = &current_.group_row;
+  /// Next row in output order, or nullptr at the end or at the limit. A
+  /// row merged from spilled runs is decoded into `*buf`.
+  Result<const MatRow*> NextRow(MatRow* buf) {
+    const MatRow* none = nullptr;
+    if (plan_->limit >= 0 && emitted_ >= plan_->limit) return none;
+    if (merging_) {
+      HDB_ASSIGN_OR_RETURN(const bool more, merge_->Next(&flat_));
+      if (!more) {
+        if (!merge_read_counted_) {
+          for (const auto& run : runs_) {
+            ec_->stats.spill_bytes_read += run->byte_count();
+          }
+          merge_read_counted_ = true;
+        }
+        return none;
+      }
+      Unflatten(flat_, buf);
+      ++emitted_;
+      return static_cast<const MatRow*>(buf);
     }
+    if (pos_ >= rows_.size()) return none;
+    ++emitted_;
+    return static_cast<const MatRow*>(&rows_[pos_++]);
+  }
+
+  /// Copies the row bound in `ctx` into `r` (reusing its storage).
+  void Capture(const RowContext& ctx, uint64_t seq, MatRow* r) const {
+    r->slots.resize(quants_.size());
+    for (size_t k = 0; k < quants_.size(); ++k) {
+      const table::Row* src = ctx.rows[quants_[k]];
+      if (src != nullptr) {
+        r->slots[k] = *src;
+      } else {
+        r->slots[k].clear();
+      }
+    }
+    const table::Row* group = ctx.rows[ec_->num_quantifiers];
+    r->has_group = group != nullptr;
+    if (r->has_group) {
+      r->group_row = *group;
+    } else {
+      r->group_row.clear();
+    }
+    r->keys = keys_;
+    r->seq = seq;
+  }
+
+  static uint64_t RowBytes(const MatRow& r) {
+    uint64_t bytes = 96;
+    for (const auto& s : r.slots) bytes += 48 * s.size();
+    return bytes;
   }
 
   Status Materialize() {
     HDB_RETURN_IF_ERROR(child_->Open());
+    const size_t nslots = ec_->num_quantifiers + 1;
+    if (child_batch_ == nullptr) {
+      child_batch_ = std::make_unique<RowBatch>(
+          nslots, EffectiveBatchCap(ec_, 0), ec_->params);
+    }
     RowContext ctx;
-    ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
+    ctx.rows.assign(nslots, nullptr);
     ctx.params = ec_->params;
+    keys_.resize(plan_->order.size());
+    const auto heap_less = [this](const MatRow& a, const MatRow& b) {
+      return Before(a, b);
+    };
+    const auto limit = static_cast<size_t>(std::max<int64_t>(plan_->limit, 0));
     for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, child_->Next(&ctx));
+      HDB_ASSIGN_OR_RETURN(const bool more,
+                           child_->NextBatch(child_batch_.get()));
       if (!more) break;
-      MatRow r;
-      r.slots.resize(ec_->num_quantifiers + 1);
-      for (const int q : quants_) {
-        if (ctx.rows[q] != nullptr) r.slots[q] = *ctx.rows[q];
+      // The batch's charge is taken after its rows are copied: charging
+      // can evict a hash-join partition below us, which the batch's slot
+      // pointers may still point into.
+      uint64_t added = 0;
+      uint64_t dropped = 0;
+      const size_t bn = child_batch_->ActiveCount();
+      for (size_t i = 0; i < bn; ++i) {
+        child_batch_->BindRow(child_batch_->Active(i), &ctx);
+        for (size_t k = 0; k < keys_.size(); ++k) {
+          HDB_RETURN_IF_ERROR(
+              EvalExprInto(plan_->order[k].expr.get(), ctx, &keys_[k]));
+        }
+        const uint64_t seq = seq_++;
+        if (!top_n_ || pending_.size() < limit) {
+          pending_.emplace_back();
+          Capture(ctx, seq, &pending_.back());
+          if (top_n_) std::push_heap(pending_.begin(), pending_.end(), heap_less);
+        } else {
+          // Full heap: a later row with keys equal to the worst's loses
+          // the tie, so only strictly better keys displace it.
+          if (limit == 0 || CompareKeys(keys_, pending_.front().keys) >= 0) {
+            continue;
+          }
+          std::pop_heap(pending_.begin(), pending_.end(), heap_less);
+          dropped += RowBytes(pending_.back());
+          Capture(ctx, seq, &pending_.back());
+          std::push_heap(pending_.begin(), pending_.end(), heap_less);
+        }
+        added += RowBytes(pending_.back());
+        group_bound_ = group_bound_ || pending_.back().has_group;
       }
-      if (ctx.rows[ec_->num_quantifiers] != nullptr) {
-        r.group_row = *ctx.rows[ec_->num_quantifiers];
-        r.has_group = true;
-      }
-      r.keys.reserve(plan_->order.size());
-      for (const auto& o : plan_->order) {
-        HDB_ASSIGN_OR_RETURN(Value v, o.expr->Evaluate(ctx));
-        r.keys.push_back(std::move(v));
-      }
-      uint64_t bytes = 96;
-      for (const auto& s : r.slots) bytes += 48 * s.size();
-      bytes_held_ += bytes;
-      pending_.push_back(std::move(r));
-      if (ec_->memory != nullptr) {
-        HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
+      if (added > dropped) {
+        bytes_held_ += added - dropped;
+        if (ec_->memory != nullptr) {
+          HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(added - dropped));
+        }
+      } else if (dropped > added) {
+        bytes_held_ -= dropped - added;
+        if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(dropped - added);
       }
     }
 
@@ -2657,10 +2770,8 @@ class SortOp : public Operator, public MemoryConsumer {
       return Status::OK();
     }
     // External merge: the in-memory remainder becomes a final run (and
-    // its charge is genuinely released — the old path cleared the buffer
-    // without crediting the account), then all runs merge *streamingly*:
-    // one decoded tuple per run, never the whole result (the old path
-    // re-materialized everything it had just spilled).
+    // its charge is released), then all runs merge *streamingly*: one
+    // decoded tuple per run, never the whole result.
     if (!pending_.empty()) {
       HDB_RETURN_IF_ERROR(WriteRun());
       if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(bytes_held_);
@@ -2671,14 +2782,10 @@ class SortOp : public Operator, public MemoryConsumer {
     for (const auto& run : runs_) run_ptrs.push_back(run.get());
     merge_ = std::make_unique<SpillMergeReader>(
         std::move(run_ptrs),
-        [this](const std::vector<Value>& a,
-               const std::vector<Value>& b) -> int {
-          // Flat run tuples lead with the precomputed sort keys.
-          for (size_t i = 0; i < plan_->order.size(); ++i) {
-            const int c = a[i].Compare(b[i]);
-            if (c != 0) return plan_->order[i].ascending ? c : -c;
-          }
-          return 0;
+        // Flat run tuples lead with the precomputed sort keys; ties keep
+        // the earliest run, i.e. arrival order.
+        [this](const std::vector<Value>& a, const std::vector<Value>& b) {
+          return CompareKeys(a, b);
         });
     HDB_RETURN_IF_ERROR(merge_->Init());
     merging_ = true;
@@ -2690,12 +2797,25 @@ class SortOp : public Operator, public MemoryConsumer {
   ExecContext* ec_;
   std::vector<int> quants_;
 
+  // Rows not yet in a run: arrival order, or the top-N max-heap (worst
+  // row at the front) while top_n_.
   std::vector<MatRow> pending_;
   std::vector<std::unique_ptr<SpillFile>> runs_;
   std::vector<MatRow> rows_;
+  bool top_n_ = false;
+  bool group_bound_ = false;
+  uint64_t seq_ = 0;
   size_t pos_ = 0;
-  MatRow current_;
+  int64_t emitted_ = 0;
   uint64_t bytes_held_ = 0;
+
+  // Per-row scratch, reused across the whole input and emission.
+  std::unique_ptr<RowBatch> child_batch_;
+  std::vector<Value> keys_;
+  std::vector<Value> flat_;
+  MatRow current_;
+  std::vector<MatRow> emit_buf_;
+  std::vector<const table::Row**> slot_cols_;
 
   // Streaming-merge emission state (spilled executions only).
   std::unique_ptr<SpillMergeReader> merge_;

@@ -115,12 +115,12 @@ struct ExecContext {
 /// Physical operator with two pull interfaces. The native one is
 /// NextBatch(): fill a RowBatch with up to capacity() rows. Next() is the
 /// legacy row-at-a-time protocol, kept for operators that are inherently
-/// row-oriented (nested-loop join, sort) and for incremental migration;
+/// row-oriented (nested-loop joins) and for incremental migration;
 /// the base class bridges the two directions:
 ///   * a row-native operator inherits the default NextBatch(), which
 ///     pulls Next() into the batch via RowBatch::CaptureRow;
 ///   * a batch-native operator keeps its row-at-a-time Next() as well, so
-///     row-driven parents (nested-loop join, sort) still compose with it.
+///     row-driven parents (nested-loop joins) still compose with it.
 /// Either way, Next() binds quantifier slots in the shared RowContext
 /// (and, for Project and above, fills ctx->output), and NextBatch()
 /// returns false only at end of stream — a true return with

@@ -291,9 +291,17 @@ void Optimizer::AddPostJoinNodes(const Query& q, PlanPtr* root) {
     for (const auto& quant : q.quantifiers) {
       if (quant.table != nullptr) sort_arity += quant.table->columns.size();
     }
-    sort->memory_quota_pages =
-        EstimateQuotaPages(ctx_, (*root)->est_rows, sort_arity);
+    // A LIMIT directly above the ORDER BY (Project in between is 1:1; a
+    // DISTINCT is not) makes this a top-N sort: it keeps and emits at
+    // most `limit` rows, and is sized for them.
     sort->est_rows = (*root)->est_rows;
+    if (q.limit >= 0 && !q.distinct) {
+      sort->limit = q.limit;
+      sort->est_rows =
+          std::min(sort->est_rows, static_cast<double>(q.limit));
+    }
+    sort->memory_quota_pages =
+        EstimateQuotaPages(ctx_, sort->est_rows, sort_arity);
     sort->est_cost = (*root)->est_cost;
     sort->children.push_back(std::move(*root));
     *root = std::move(sort);

@@ -36,6 +36,9 @@ std::string PlanNode::Fingerprint() const {
 std::string PlanNode::Explain(int indent, const OpActualsMap* actuals) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += PlanKindName(kind);
+  if (kind == PlanKind::kSort && limit >= 0) {
+    out += " top=" + std::to_string(limit);
+  }
   if (table != nullptr) out += " " + table->name;
   if (index != nullptr) {
     out += " using " + index->name;

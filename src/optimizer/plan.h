@@ -103,6 +103,8 @@ struct PlanNode {
   std::vector<AggSpec> aggregates;
   ExprPtr having;
   std::vector<OrderItem> order;
+  /// Limit: rows to pass. Sort: top-N bound when a LIMIT sits directly
+  /// above it (EXPLAIN shows `Sort top=N`). -1 = none.
   int64_t limit = -1;
   std::vector<SelectItem> projections;
 

@@ -2,6 +2,7 @@
 #define HDB_STORAGE_CLOCK_REPLACER_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -17,8 +18,14 @@ namespace hdb::storage {
 /// hot pages re-referenced across segments accumulate score. Scores decay
 /// exponentially with age (one halving per un-referenced window), ensuring
 /// every page eventually becomes a replacement candidate. The clock hand
-/// sweeps frames and evicts the first frame whose decayed score reaches
-/// zero, writing back the decayed score (and stepping it down) otherwise.
+/// sweeps frames from the hand and evicts the first frame whose decayed
+/// score is zero, otherwise the first frame with the minimum score.
+///
+/// The replacer keeps a lower bound on the earliest tick at which any
+/// evictable frame can decay to zero. Before that tick the first score-1
+/// frame from the hand is provably the victim, so the sweep stops there:
+/// a table scan streaming through the pool evicts in O(1) per page
+/// instead of O(frames) (DESIGN.md §4).
 ///
 /// The replacer is not internally synchronized; the buffer pool calls it
 /// under its latch. (The fast path that avoids this latch entirely is the
@@ -50,6 +57,10 @@ class ClockReplacer {
 
   uint64_t ticks() const { return tick_; }
 
+  /// Frames looked at by Victim() since construction: the sweep's work,
+  /// independent of the host (tests gate on it).
+  uint64_t frames_examined() const { return frames_examined_; }
+
  private:
   struct Entry {
     uint64_t last_ref_tick = 0;
@@ -58,15 +69,28 @@ class ClockReplacer {
     bool tracked = false;
   };
 
-  /// Reference-time segment width, in ticks: one eighth of a window that
-  /// spans roughly one full sweep of the pool.
-  uint64_t SegmentWidth() const;
+  static constexpr uint64_t kNoZeroTick =
+      std::numeric_limits<uint64_t>::max();
+
+  /// Recomputes segment_width_ and window_ from the frame count.
+  void UpdateWidths();
   uint32_t DecayedScore(const Entry& e) const;
+  /// First tick at which `e`'s decayed score is 0.
+  uint64_t ZeroTick(const Entry& e) const;
+  /// Forgets `frame`, moves the hand past it and returns it.
+  uint32_t Evict(size_t frame);
 
   uint32_t num_segments_;
   uint32_t max_score_;
+  /// Reference-time segment width, in ticks, and the decay window of
+  /// num_segments_ segments (one halving per window without a reference).
+  uint64_t segment_width_ = 0;
+  uint64_t window_ = 0;
   uint64_t tick_ = 0;
   size_t hand_ = 0;
+  /// No evictable frame's score reaches 0 before this tick.
+  uint64_t zero_bound_ = kNoZeroTick;
+  uint64_t frames_examined_ = 0;
   std::vector<Entry> entries_;
 };
 

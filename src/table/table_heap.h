@@ -79,7 +79,7 @@ class TableHeap {
 
     /// Same batched step, but hands out the raw encoded bytes (string
     /// capacity reused) for consumers that decode elsewhere — the
-    /// parallel-scan RowDispenser.
+    /// parallel scan's MorselDispenser (exec/morsel.h).
     Result<size_t> NextBytes(size_t max_rows,
                              std::vector<std::string>* bytes,
                              std::vector<Rid>* rids);

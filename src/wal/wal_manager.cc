@@ -140,6 +140,17 @@ Status WalManager::EnsureDurable(storage::Lsn lsn) {
   // statement thread arriving here (direct commit, or the buffer pool's
   // WAL-before-data barrier) records the wait against itself.
   obs::ScopedWait durable_wait(obs::WaitCause::kWalDurable, lsn);
+  const storage::Lsn before = durable_lsn();
+  const Status st = SyncTo(lsn);
+  // Whoever advances durable_lsn_ wakes the committers, not only the
+  // flusher: a direct call (checkpoint, WAL-before-data barrier) can cover
+  // a group-commit target between a committer's wakeup of the flusher and
+  // the flusher's re-check, and the flusher then finds nothing to do.
+  if (durable_lsn() > before) WakeCommitters();
+  return st;
+}
+
+Status WalManager::SyncTo(storage::Lsn lsn) {
   LockGuard flush_lock(flush_mu_);
   if (durable_lsn() >= lsn) return Status::OK();
   storage::Lsn target;
@@ -161,6 +172,14 @@ Status WalManager::EnsureDurable(storage::Lsn lsn) {
   return durable_lsn() >= lsn
              ? Status::OK()
              : Status::Internal("wal flush did not reach requested lsn");
+}
+
+void WalManager::WakeCommitters() {
+  // Notifying under gc_mu_ orders the wake after any committer's
+  // predicate check: a committer either already sleeps or re-reads
+  // durable_lsn_ after this.
+  LockGuard gl(gc_mu_);
+  gc_done_cv_.notify_all();
 }
 
 Status WalManager::WaitDurable(storage::Lsn lsn) {

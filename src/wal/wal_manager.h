@@ -115,7 +115,9 @@ class WalManager {
 
   /// Makes everything up to `lsn` durable: writes the tail page and fsyncs
   /// the media. No-op when disabled or when there is no durable media.
-  Status EnsureDurable(storage::Lsn lsn);
+  /// A flush that advances the durable LSN wakes the group-commit waiters
+  /// it covered, so callers must not hold the group-commit mutex.
+  Status EnsureDurable(storage::Lsn lsn) EXCLUDES(gc_mu_, flush_mu_);
 
   /// Commit-path durability. With group commit on, blocks on the flusher
   /// thread's next batched fsync; otherwise EnsureDurable directly.
@@ -198,6 +200,12 @@ class WalManager {
  private:
   Status WriteTailPageLocked() REQUIRES(mu_);
   Status AdvancePageLocked() REQUIRES(mu_);
+  /// Writes the tail page and fsyncs under flush_mu_, advancing
+  /// durable_lsn_ to at least `lsn`.
+  Status SyncTo(storage::Lsn lsn) EXCLUDES(flush_mu_);
+  /// Wakes every group-commit waiter after durable_lsn_ advanced. Takes
+  /// gc_mu_, so callers must not hold flush_mu_ (which ranks above it).
+  void WakeCommitters() EXCLUDES(gc_mu_, flush_mu_);
   void FlusherLoop();
 
   storage::DiskManager* disk_;

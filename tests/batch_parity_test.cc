@@ -49,6 +49,12 @@ const char* kCorpus[] = {
     "SELECT t.a, d.id FROM t JOIN d ON t.a < d.id WHERE t.a BETWEEN 40 AND 60",
     "SELECT a, v FROM t ORDER BY a, v LIMIT 20",
     "SELECT a FROM t WHERE a >= 400 ORDER BY a DESC LIMIT 10",
+    // Top-N sorts: a non-unique key (ties decide which rows survive),
+    // ORDER BY over GROUP BY, and DISTINCT (which keeps the full sort).
+    "SELECT a, g, s FROM t ORDER BY g LIMIT 7",
+    "SELECT a, g FROM t WHERE b IS NOT NULL ORDER BY g DESC, s LIMIT 100",
+    "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g ORDER BY g DESC LIMIT 5",
+    "SELECT DISTINCT g FROM t ORDER BY g LIMIT 5",
 };
 
 std::unique_ptr<engine::Database> MakeDb(size_t batch_cap,
@@ -163,6 +169,74 @@ TEST(BatchParity, OrderedQueriesMatchRowForRow) {
       }
     }
   }
+}
+
+// Top-N sort: ORDER BY a non-unique key with LIMIT k returns exactly the
+// first k rows of the full (stable) sort, ties included, at every batch
+// cap and for k from 0 past the row count.
+TEST(BatchParity, TopNEqualsTruncatedFullSort) {
+  struct Case {
+    const char* full;  // the ORDER BY without a LIMIT
+    size_t rows;       // its row count
+  };
+  const Case cases[] = {
+      {"SELECT a, g, s FROM t ORDER BY g", 1000},
+      {"SELECT a, j FROM t ORDER BY j DESC", 1000},
+      {"SELECT g, COUNT(*), MIN(a) FROM t GROUP BY g ORDER BY g DESC", 16},
+  };
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    auto db = MakeDb(cap);
+    auto connr = db->Connect();
+    auto conn = std::move(*connr);
+    for (const Case& c : cases) {
+      auto full = conn->Execute(c.full);
+      ASSERT_TRUE(full.ok()) << c.full << ": " << full.status().ToString();
+      ASSERT_EQ(full->rows.size(), c.rows) << c.full;
+      for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, c.rows - 1,
+                             c.rows, c.rows + 5}) {
+        const std::string sql =
+            std::string(c.full) + " LIMIT " + std::to_string(k);
+        auto top = conn->Execute(sql);
+        ASSERT_TRUE(top.ok()) << sql << ": " << top.status().ToString();
+        ASSERT_EQ(top->rows.size(), std::min(k, c.rows)) << sql;
+        for (size_t i = 0; i < top->rows.size(); ++i) {
+          ASSERT_EQ(top->rows[i].size(), full->rows[i].size()) << sql;
+          for (size_t col = 0; col < top->rows[i].size(); ++col) {
+            EXPECT_EQ(top->rows[i][col].ToString(),
+                      full->rows[i][col].ToString())
+                << sql << " (cap " << cap << ") row " << i << " col " << col;
+          }
+        }
+      }
+    }
+  }
+}
+
+// EXPLAIN marks a LIMIT directly above an ORDER BY as a top-N sort, and
+// EXPLAIN ANALYZE counts the rows it emitted. DISTINCT between the two
+// keeps the full sort: the limit counts distinct rows, not sorted ones.
+TEST(BatchParity, ExplainShowsTopNSort) {
+  auto db = MakeDb(1024);
+  auto connr = db->Connect();
+  auto conn = std::move(*connr);
+  auto r = conn->Execute("EXPLAIN ANALYZE SELECT a FROM t ORDER BY g LIMIT 100");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const size_t sort_at = r->explain.find("Sort top=100");
+  ASSERT_NE(sort_at, std::string::npos) << r->explain;
+  const std::string sort_line =
+      r->explain.substr(sort_at, r->explain.find('\n', sort_at) - sort_at);
+  EXPECT_NE(sort_line.find("(rows=100 "), std::string::npos) << sort_line;
+  EXPECT_NE(sort_line.find("actual rows=100 "), std::string::npos)
+      << sort_line;
+
+  auto d = conn->Execute("EXPLAIN SELECT DISTINCT g FROM t ORDER BY g LIMIT 5");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_NE(d->explain.find("Sort"), std::string::npos) << d->explain;
+  EXPECT_EQ(d->explain.find("top="), std::string::npos) << d->explain;
+
+  auto u = conn->Execute("EXPLAIN SELECT a FROM t ORDER BY g");
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  EXPECT_EQ(u->explain.find("top="), std::string::npos) << u->explain;
 }
 
 // Shared-database case for the sanitizer matrix: several threads sweep the

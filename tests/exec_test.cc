@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "catalog/catalog.h"
+#include "exec/agg.h"
 #include "exec/memory_governor.h"
 #include "exec/morsel.h"
 #include "exec/mpl_controller.h"
@@ -23,6 +24,76 @@ struct Fixture {
   storage::DiskManager disk;
   storage::BufferPool pool;
 };
+
+// --- Aggregate state (agg.h) ---
+
+AggState Fold(optimizer::AggKind kind, const std::vector<Value>& inputs) {
+  AggState s;
+  for (const Value& v : inputs) AggUpdate(s, kind, v);
+  return s;
+}
+
+TEST(AggTest, FinalizeEachKind) {
+  using optimizer::AggKind;
+  const std::vector<Value> ints = {Value::Bigint(4), Value::Null(),
+                                   Value::Bigint(-2), Value::Bigint(9)};
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kCountStar, ints), AggKind::kCountStar),
+            Value::Bigint(4));
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kCount, ints), AggKind::kCount),
+            Value::Bigint(3));
+  const Value sum = AggFinalize(Fold(AggKind::kSum, ints), AggKind::kSum);
+  EXPECT_EQ(sum.type(), TypeId::kBigint);
+  EXPECT_EQ(sum, Value::Bigint(11));
+  const Value avg = AggFinalize(Fold(AggKind::kAvg, ints), AggKind::kAvg);
+  EXPECT_EQ(avg.type(), TypeId::kDouble);
+  EXPECT_DOUBLE_EQ(avg.AsDouble(), 11.0 / 3.0);
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kMin, ints), AggKind::kMin),
+            Value::Bigint(-2));
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kMax, ints), AggKind::kMax),
+            Value::Bigint(9));
+
+  // A double input makes SUM a double; MIN/MAX compare strings.
+  const Value dsum = AggFinalize(
+      Fold(AggKind::kSum, {Value::Bigint(1), Value::Double(0.5)}),
+      AggKind::kSum);
+  EXPECT_EQ(dsum.type(), TypeId::kDouble);
+  EXPECT_DOUBLE_EQ(dsum.AsDouble(), 1.5);
+  const std::vector<Value> strs = {Value::String("pear"),
+                                   Value::String("apple"),
+                                   Value::String("zucchini")};
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kMin, strs), AggKind::kMin),
+            Value::String("apple"));
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kMax, strs), AggKind::kMax),
+            Value::String("zucchini"));
+
+  // Only NULL inputs: COUNT(*) counts them, the rest have nothing.
+  const std::vector<Value> nulls = {Value::Null(), Value::Null()};
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kCountStar, nulls), AggKind::kCountStar),
+            Value::Bigint(2));
+  EXPECT_EQ(AggFinalize(Fold(AggKind::kCount, nulls), AggKind::kCount),
+            Value::Bigint(0));
+  for (const AggKind k : {AggKind::kSum, AggKind::kAvg, AggKind::kMin,
+                          AggKind::kMax}) {
+    EXPECT_TRUE(AggFinalize(Fold(k, nulls), k).is_null());
+  }
+}
+
+TEST(AggTest, MergeAndSpillRoundTripMatchOnePass) {
+  using optimizer::AggKind;
+  const std::vector<Value> a = {Value::Bigint(7), Value::Null(),
+                                Value::Double(1.25)};
+  const std::vector<Value> b = {Value::Bigint(-3), Value::Bigint(12)};
+  std::vector<Value> all = a;
+  all.insert(all.end(), b.begin(), b.end());
+  for (const AggKind k : {AggKind::kCountStar, AggKind::kCount, AggKind::kSum,
+                          AggKind::kMin, AggKind::kMax, AggKind::kAvg}) {
+    AggState merged = DecodeAggState(EncodeAggState(Fold(k, a)), 0);
+    AggMerge(merged, DecodeAggState(EncodeAggState(Fold(k, b)), 0));
+    EXPECT_EQ(EncodeAggState(Fold(k, a)).size(), kAggStateArity);
+    EXPECT_EQ(AggFinalize(merged, k), AggFinalize(Fold(k, all), k))
+        << static_cast<int>(k);
+  }
+}
 
 // --- Memory governor (Eq. 4 and Eq. 5) ---
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -178,6 +181,216 @@ TEST(ClockReplacerTest, ExponentialDecayMakesOldPagesCandidates) {
     for (uint32_t f = 1; f < 4; ++f) clock.RecordReference(f);
   }
   EXPECT_LT(clock.EffectiveScore(0), hot);
+}
+
+// Reference copy of the replacer's documented victim choice (DESIGN.md
+// §4) in its plain form: every Victim() sweeps the whole pool and divides
+// per frame. The differential tests below hold ClockReplacer to it.
+class ReferenceClock {
+ public:
+  ReferenceClock(size_t n, uint32_t max_score)
+      : max_score_(max_score), entries_(n) {}
+
+  void Resize(size_t n) {
+    entries_.resize(n);
+    if (hand_ >= entries_.size()) hand_ = 0;
+  }
+
+  void RecordReference(uint32_t f) {
+    if (f >= entries_.size()) return;
+    ++tick_;
+    Entry& e = entries_[f];
+    const uint64_t width = SegmentWidth();
+    if (!e.tracked) {
+      e.tracked = true;
+      e.score = 1;
+    } else if (tick_ / width != e.last_ref_tick / width) {
+      e.score = std::min(DecayedScore(e) + 1, max_score_);
+    }
+    e.last_ref_tick = tick_;
+  }
+
+  void SetEvictable(uint32_t f, bool evictable) {
+    if (f < entries_.size()) entries_[f].evictable = evictable;
+  }
+
+  void Remove(uint32_t f) {
+    if (f < entries_.size()) entries_[f] = Entry{};
+  }
+
+  std::optional<uint32_t> Victim() {
+    if (entries_.empty()) return std::nullopt;
+    const size_t n = entries_.size();
+    int best = -1;
+    uint32_t best_eff = 0;
+    for (size_t step = 0; step < n; ++step) {
+      const size_t current = (hand_ + step) % n;
+      Entry& e = entries_[current];
+      if (!e.tracked || !e.evictable) continue;
+      const uint32_t eff = DecayedScore(e);
+      if (eff == 0) {
+        e = Entry{};
+        hand_ = (current + 1) % n;
+        return static_cast<uint32_t>(current);
+      }
+      if (best < 0 || eff < best_eff) {
+        best = static_cast<int>(current);
+        best_eff = eff;
+      }
+    }
+    if (best < 0) return std::nullopt;
+    entries_[best] = Entry{};
+    hand_ = (static_cast<size_t>(best) + 1) % n;
+    return static_cast<uint32_t>(best);
+  }
+
+  uint32_t EffectiveScore(uint32_t f) const {
+    if (f >= entries_.size() || !entries_[f].tracked) return 0;
+    return DecayedScore(entries_[f]);
+  }
+
+  size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    uint64_t last_ref_tick = 0;
+    uint32_t score = 0;
+    bool evictable = false;
+    bool tracked = false;
+  };
+
+  uint64_t SegmentWidth() const {
+    return std::max<uint64_t>(8, entries_.size());
+  }
+
+  uint32_t DecayedScore(const Entry& e) const {
+    const uint64_t width = SegmentWidth();
+    const uint64_t age = tick_ >= e.last_ref_tick ? tick_ - e.last_ref_tick : 0;
+    const uint64_t halvings = age / (width * 8);
+    if (halvings >= 32) return 0;
+    return e.score >> halvings;
+  }
+
+  uint32_t max_score_;
+  uint64_t tick_ = 0;
+  size_t hand_ = 0;
+  std::vector<Entry> entries_;
+};
+
+void ExpectSameScores(const ClockReplacer& clock, const ReferenceClock& ref,
+                      const char* where) {
+  for (uint32_t f = 0; f < ref.size(); ++f) {
+    ASSERT_EQ(clock.EffectiveScore(f), ref.EffectiveScore(f))
+        << where << ": frame " << f;
+  }
+}
+
+// Seeded random traces of every replacer call, with idle gaps long enough
+// that decay fires, replayed through ClockReplacer and the reference: the
+// victims and every effective score must agree at every step.
+TEST(ClockReplacerTest, DifferentialAgainstReferenceSweep) {
+  const uint32_t max_scores[] = {1, 3, 7};
+  for (uint32_t seed = 1; seed <= 60; ++seed) {
+    std::mt19937 rng(seed);
+    const size_t sizes[] = {1, 2, 3, 8, 9, 31, 64, 257, 512, 1024};
+    size_t n = seed <= 10 ? sizes[seed - 1]
+                          : std::uniform_int_distribution<size_t>(1, 1024)(rng);
+    const uint32_t max_score = max_scores[seed % 3];
+    ClockReplacer clock(n, 8, max_score);
+    ReferenceClock ref(n, max_score);
+    auto pick = [&](size_t bound) {
+      // Occasionally out of range: both must ignore it.
+      return static_cast<uint32_t>(
+          std::uniform_int_distribution<size_t>(0, bound)(rng));
+    };
+    for (int op = 0; op < 2500; ++op) {
+      const int kind = std::uniform_int_distribution<int>(0, 99)(rng);
+      if (kind < 30) {
+        // Buffer-pool miss: evict, load the page, unpin it.
+        const auto a = clock.Victim();
+        const auto b = ref.Victim();
+        ASSERT_EQ(a, b) << "seed " << seed << " op " << op;
+        if (a.has_value()) {
+          clock.RecordReference(*a);
+          ref.RecordReference(*a);
+          clock.SetEvictable(*a, true);
+          ref.SetEvictable(*a, true);
+        }
+        ExpectSameScores(clock, ref, "after victim");
+      } else if (kind < 65) {
+        // Hit: a small hot set mostly, anything sometimes.
+        const uint32_t f = kind < 50 ? pick(std::min<size_t>(n, 16)) : pick(n);
+        clock.RecordReference(f);
+        ref.RecordReference(f);
+        const bool unpin = std::uniform_int_distribution<int>(0, 9)(rng) != 0;
+        clock.SetEvictable(f, unpin);
+        ref.SetEvictable(f, unpin);
+      } else if (kind < 80) {
+        const uint32_t f = pick(n);
+        const bool evictable = std::uniform_int_distribution<int>(0, 3)(rng) != 0;
+        clock.SetEvictable(f, evictable);
+        ref.SetEvictable(f, evictable);
+      } else if (kind < 85) {
+        const uint32_t f = pick(n);
+        clock.Remove(f);
+        ref.Remove(f);
+      } else if (kind < 87) {
+        n = std::uniform_int_distribution<size_t>(1, 1024)(rng);
+        clock.Resize(n);
+        ref.Resize(n);
+      } else if (kind < 90) {
+        // Idle gap: up to three decay windows of references to one frame
+        // while every other frame ages.
+        const uint32_t f = pick(n);
+        const size_t window = std::max<size_t>(8, n) * 8;
+        const size_t gap = std::uniform_int_distribution<size_t>(1, 3 * window)(rng);
+        for (size_t i = 0; i < gap; ++i) {
+          clock.RecordReference(f);
+          ref.RecordReference(f);
+        }
+        ExpectSameScores(clock, ref, "after gap");
+      } else {
+        const auto a = clock.Victim();
+        const auto b = ref.Victim();
+        ASSERT_EQ(a, b) << "seed " << seed << " op " << op;
+      }
+      if (HasFatalFailure()) return;
+    }
+    ExpectSameScores(clock, ref, "end of trace");
+  }
+}
+
+// Work gate that does not depend on the host: a table scan streaming
+// through a 512-frame pool, beside a small hot set, examines at most four
+// frames per victim (the full sweep examined all 512) and chooses exactly
+// the reference's victims.
+TEST(ClockReplacerTest, SequentialScanVictimsAreConstantWork) {
+  constexpr uint32_t kFrames = 512;
+  ClockReplacer clock(kFrames);
+  ReferenceClock ref(kFrames, 7);
+  auto load = [&](uint32_t f) {
+    clock.RecordReference(f);
+    ref.RecordReference(f);
+    clock.SetEvictable(f, true);
+    ref.SetEvictable(f, true);
+  };
+  for (uint32_t f = 0; f < kFrames; ++f) load(f);
+  const uint32_t hot[] = {3, 100, 257, 400};
+  const uint64_t examined_before = clock.frames_examined();
+  constexpr int kMisses = 4 * 2223;
+  for (int i = 0; i < kMisses; ++i) {
+    if (i % 64 == 0) {
+      for (const uint32_t f : hot) load(f);
+    }
+    const auto a = clock.Victim();
+    ASSERT_EQ(a, ref.Victim()) << "miss " << i;
+    ASSERT_TRUE(a.has_value());
+    load(*a);
+  }
+  const double per_victim =
+      static_cast<double>(clock.frames_examined() - examined_before) / kMisses;
+  EXPECT_LE(per_victim, 4.0);
+  ExpectSameScores(clock, ref, "end of scan");
 }
 
 // --- Buffer pool ---

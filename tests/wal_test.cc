@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -190,6 +191,63 @@ TEST(WalManagerTest, GroupCommitMakesWaitersDurable) {
   EXPECT_GE(s.durable_lsn, s.appended_lsn);
   EXPECT_GE(s.group_batches, 1u);
   rig.wal->Shutdown();
+}
+
+// Regression: a direct EnsureDurable (checkpoint, WAL-before-data barrier)
+// that covers a committer's target between the committer's wakeup of the
+// flusher and the flusher's re-check used to leave the committer asleep on
+// the group-commit condition variable for good. The committers must all
+// finish; on a deadline the test fails and Shutdown() releases them.
+TEST(WalManagerTest, DirectFlushWakesGroupCommitWaiters) {
+  WalOptions wopts;
+  wopts.group_commit = true;
+  Rig rig({}, wopts);
+  rig.wal->StartFlusher();
+
+  constexpr int kCommitters = 2;
+  constexpr int kCommitsEach = 3000;
+  std::atomic<int> finished{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> committers;
+  for (int t = 0; t < kCommitters; ++t) {
+    committers.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsEach; ++i) {
+        auto lsn = rig.wal->Append(WalRecordType::kCommit,
+                                   static_cast<uint64_t>(t * 100000 + i), "");
+        if (!lsn.ok() || !rig.wal->WaitDurable(*lsn).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::thread direct([&] {
+    uint64_t txn = 1u << 30;
+    while (!stop.load()) {
+      auto lsn = rig.wal->Append(WalRecordType::kHeapInsert, txn++, "x");
+      if (!lsn.ok() || !rig.wal->EnsureDurable(*lsn).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (finished.load() < kCommitters &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool all_finished = finished.load() == kCommitters;
+  stop.store(true);
+  direct.join();
+  // Releases any committer still parked, so a failure cannot hang.
+  rig.wal->Shutdown();
+  for (auto& th : committers) th.join();
+  EXPECT_TRUE(all_finished) << "committers left waiting after a direct flush";
+  if (all_finished) {
+    EXPECT_EQ(failures.load(), 0);
+  }
 }
 
 TEST(WalManagerTest, CommitWaitSurfacesMediaDeath) {
