@@ -163,6 +163,13 @@ struct DttCase {
   uint32_t page_bytes;
 };
 
+// Without this, gtest prints the case as raw bytes: the name pointer's
+// address plus padding, which changes from run to run and would make the
+// ctest test names (built from --gtest_list_tests) unstable.
+void PrintTo(const DttCase& c, std::ostream* os) {
+  *os << (c.rotational ? "rotational " : "flash ") << c.page_bytes;
+}
+
 class DttDeviceSweep : public ::testing::TestWithParam<DttCase> {};
 
 TEST_P(DttDeviceSweep, CalibratedModelMatchesDeviceShape) {
