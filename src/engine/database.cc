@@ -1534,15 +1534,24 @@ Result<QueryResult> Connection::ExecuteCall(const CallAst& ast) {
           r, ExecuteSelect(std::get<SelectAst>(stmt), &params, key, &r));
       out = std::move(r);
     } else {
-      // DML inside procedures: substitute parameters textually and run.
-      std::string sql = body;
-      for (const auto& [name, value] : params) {
-        const std::string needle = ":" + name;
-        for (size_t pos = sql.find(needle); pos != std::string::npos;
-             pos = sql.find(needle, pos)) {
-          sql.replace(pos, needle.size(), ToSqlLiteral(value));
-        }
+      // DML inside procedures: replace every :name parameter token with
+      // its value's literal and run. Working on lexer tokens means a
+      // parameter never matches the prefix of a longer name (:a in :ab)
+      // or text inside a string literal.
+      HDB_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Lex(body));
+      std::string sql;
+      size_t copied = 0;
+      for (const Token& tok : tokens) {
+        if (tok.kind != TokenKind::kParam) continue;
+        const auto it = std::find_if(
+            params.begin(), params.end(),
+            [&tok](const auto& p) { return p.first == tok.text; });
+        if (it == params.end()) continue;
+        sql.append(body, copied, tok.pos - copied);
+        sql += ToSqlLiteral(it->second);
+        copied = tok.pos + tok.raw.size();
       }
+      sql.append(body, copied, std::string::npos);
       HDB_ASSIGN_OR_RETURN(out, Execute(sql));
     }
   }

@@ -41,20 +41,6 @@ const PlanNode* FragmentScan(const PlanNode* n) {
   return n->kind == PlanKind::kSeqScan ? n : nullptr;
 }
 
-bool FragmentProducesOutput(const PlanNode* n) {
-  for (;;) {
-    switch (n->kind) {
-      case PlanKind::kProject:
-        return true;
-      case PlanKind::kFilter:
-        n = n->children[0].get();
-        break;
-      default:
-        return false;
-    }
-  }
-}
-
 /// Private execution context for one worker thread: shares the engine
 /// callbacks, parameters, and the statement's TaskMemoryContext with the
 /// coordinator, but owns its stats and is flagged so arena charges route
@@ -127,8 +113,10 @@ struct Packet {
   size_t count = 0;
 };
 
+/// Copies the row bound in `ctx` into the packet; a non-null `output`
+/// (the producing batch's projected row) is moved in beside it.
 void AppendToPacket(Packet* p, const RowContext& ctx,
-                    const std::vector<uint16_t>& slots, bool with_output) {
+                    const std::vector<uint16_t>& slots, table::Row* output) {
   if (p->slots.empty()) {
     p->slots = slots;
     p->rows.resize(slots.size());
@@ -136,8 +124,8 @@ void AppendToPacket(Packet* p, const RowContext& ctx,
   for (size_t i = 0; i < slots.size(); ++i) {
     p->rows[i].push_back(*ctx.rows[slots[i]]);
   }
-  if (with_output) {
-    p->output.push_back(ctx.output);
+  if (output != nullptr) {
+    p->output.push_back(std::move(*output));
     p->has_output = true;
   }
   p->count++;
@@ -326,26 +314,6 @@ class StreamingExchangeOp : public Operator {
     }
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    for (;;) {
-      if (pos_ < packet_.count) {
-        for (size_t si = 0; si < packet_.slots.size(); ++si) {
-          ctx->rows[packet_.slots[si]] = &packet_.rows[si][pos_];
-        }
-        if (packet_.has_output) ctx->output = packet_.output[pos_];
-        ++pos_;
-        return true;
-      }
-      if (queue_ == nullptr || !queue_->Pop(&packet_)) {
-        packet_ = Packet();
-        pos_ = 0;
-        HDB_RETURN_IF_ERROR(Finish());
-        return false;
-      }
-      pos_ = 0;
-    }
-  }
-
  protected:
   /// Joins the crew and surfaces the first worker error. Must tolerate
   /// repeated calls (NextBatch keeps returning false after end).
@@ -365,7 +333,7 @@ class ExchangeScanOp : public StreamingExchangeOp {
  public:
   ExchangeScanOp(const PlanNode* plan, ExecContext* ec, int workers)
       : plan_(plan), ec_(ec), workers_(workers),
-        produces_output_(FragmentProducesOutput(plan)) {}
+        produces_output_(PlanProducesOutput(plan)) {}
 
   ~ExchangeScanOp() override { Shutdown(); }
 
@@ -409,8 +377,6 @@ class ExchangeScanOp : public StreamingExchangeOp {
     FoldStats();
   }
 
-  bool ProducesOutput() const override { return produces_output_; }
-
  private:
   Status Worker(int w) {
     const Status s = WorkerBody(w);
@@ -441,8 +407,10 @@ class ExchangeScanOp : public StreamingExchangeOp {
       if (n == 0) continue;
       Packet p;
       for (size_t i = 0; i < n; ++i) {
-        batch.BindRow(batch.Active(i), &ctx, produces_output_);
-        AppendToPacket(&p, ctx, slots_, produces_output_);
+        const size_t pos = batch.Active(i);
+        batch.BindRow(pos, &ctx);
+        AppendToPacket(&p, ctx, slots_,
+                       produces_output_ ? batch.MutableOutput(pos) : nullptr);
       }
       if (!queue_->Push(std::move(p))) return Status::OK();
     }
@@ -590,7 +558,6 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
     staged_.clear();
   }
 
-  bool ProducesOutput() const override { return false; }
   uint64_t MemoryBytes() const override {
     return charged_.load(std::memory_order_relaxed);
   }
@@ -732,7 +699,7 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
                 const bool ok, plan_->extra_condition->EvaluatesToTrue(ctx));
             if (!ok) continue;
           }
-          AppendToPacket(&pkt, ctx, slots_, /*with_output=*/false);
+          AppendToPacket(&pkt, ctx, slots_, /*output=*/nullptr);
           if (pkt.count >= cap) {
             if (!queue_->Push(std::move(pkt))) return Status::OK();
             pkt = Packet();
@@ -848,23 +815,6 @@ class ExchangeGroupByOp : public Operator {
     Finalize();
     pos_ = results_.begin();
     return Status::OK();
-  }
-
-  Result<bool> Next(RowContext* ctx) override {
-    const size_t group_slot = ec_->num_quantifiers;
-    while (pos_ != results_.end()) {
-      current_ = pos_->second;
-      ++pos_;
-      ctx->rows[group_slot] = &current_;
-      if (plan_->having != nullptr) {
-        HDB_ASSIGN_OR_RETURN(const bool ok,
-                             plan_->having->EvaluatesToTrue(*ctx));
-        if (!ok) continue;
-      }
-      return true;
-    }
-    ctx->rows[group_slot] = nullptr;
-    return false;
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
@@ -1023,7 +973,6 @@ class ExchangeGroupByOp : public Operator {
 
   std::map<std::string, std::vector<Value>> results_;
   std::map<std::string, std::vector<Value>>::iterator pos_;
-  std::vector<Value> current_;
   RowContext emit_ctx_;
 };
 
@@ -1043,7 +992,7 @@ class ExchangeDistinctOp : public Operator {
     if (scan == nullptr) {
       return Status::Internal("parallel fragment without a seq scan");
     }
-    if (!FragmentProducesOutput(plan_->children[0].get())) {
+    if (!PlanProducesOutput(plan_->children[0].get())) {
       return Status::Internal("parallel distinct fragment without projection");
     }
     table::TableHeap* heap = ec_->table_heap(scan->table->oid);
@@ -1078,13 +1027,6 @@ class ExchangeDistinctOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    if (pos_ == merged_.end()) return false;
-    ctx->output = pos_->second;
-    ++pos_;
-    return true;
-  }
-
   Result<bool> NextBatch(RowBatch* b) override {
     b->Reset();
     table::Row* out = b->OutputColumn();
@@ -1106,7 +1048,6 @@ class ExchangeDistinctOp : public Operator {
     merged_.clear();
   }
 
-  bool ProducesOutput() const override { return true; }
   uint64_t MemoryBytes() const override {
     return charged_.load(std::memory_order_relaxed);
   }

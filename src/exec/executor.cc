@@ -22,29 +22,6 @@
 
 namespace hdb::exec {
 
-// Default row→batch adapter: any operator that only speaks the row
-// protocol (the nested-loop joins) still participates in batch flow by
-// pulling itself row-at-a-time into the caller's batch. CaptureRow copies
-// the bound slots into batch-owned storage, so the batch's pointer
-// lifetime contract holds even though the source pointers rotate per row.
-Result<bool> Operator::NextBatch(RowBatch* batch) {
-  batch->Reset();
-  if (adapter_ctx_.rows.size() != batch->num_slots()) {
-    adapter_ctx_.rows.assign(batch->num_slots(), nullptr);
-    adapter_ctx_.params = batch->params();
-  }
-  const bool with_output = ProducesOutput();
-  size_t n = 0;
-  while (n < batch->capacity()) {
-    HDB_ASSIGN_OR_RETURN(const bool more, Next(&adapter_ctx_));
-    if (!more) break;
-    batch->CaptureRow(n, adapter_ctx_, with_output);
-    ++n;
-  }
-  batch->SetSize(n);
-  return n > 0;
-}
-
 namespace {
 
 using optimizer::CompareOp;
@@ -272,22 +249,6 @@ std::vector<CheckedPred> PrepareResidual(const ExprPtr& residual,
   return out;
 }
 
-/// Evaluates the residual conjuncts, observing outcomes. Short-circuits on
-/// the first failure (later conjuncts go unobserved, which matches a real
-/// engine's evaluation order).
-Result<bool> EvalResidual(ExecContext* ec, uint32_t table_oid,
-                          const std::vector<CheckedPred>& preds,
-                          const RowContext& ctx) {
-  for (const CheckedPred& p : preds) {
-    HDB_ASSIGN_OR_RETURN(const bool ok, p.expr->EvaluatesToTrue(ctx));
-    if (p.observable.has_value()) {
-      Observe(ec, table_oid, *p.observable, ok);
-    }
-    if (!ok) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized-execution helpers (DESIGN.md §9)
 // ---------------------------------------------------------------------------
@@ -373,9 +334,9 @@ void InitScratchCtx(ExecContext* ec, RowContext* ctx) {
 /// Applies residual conjuncts to a batch by compacting its selection
 /// vector, conjunct-major: conjunct j is only evaluated on the survivors
 /// of conjuncts 1..j-1, so per-row short-circuiting — and therefore the
-/// set of feedback observations (paper §3.2) — is identical to the
-/// row-at-a-time path. In-place compaction is safe because the write
-/// index never passes the read index.
+/// set of feedback observations (paper §3.2) — is the same at every batch
+/// cap. In-place compaction is safe because the write index never passes
+/// the read index.
 Status ApplyPredsToBatch(ExecContext* ec, uint32_t table_oid,
                          const std::vector<CheckedPred>& preds, RowBatch* b,
                          RowContext* ctx) {
@@ -482,25 +443,6 @@ void CollectPlanColumnMasks(const PlanNode* n,
   for (const auto& o : n->order) CollectExprColumns(o.expr.get(), masks);
   for (const auto& p : n->projections) CollectExprColumns(p.expr.get(), masks);
   for (const auto& c : n->children) CollectPlanColumnMasks(c.get(), masks);
-}
-
-/// Plan-level mirror of Operator::ProducesOutput: true when the root
-/// chain delivers projected output rows, so result fetch never flattens
-/// raw quantifier slots — the precondition for column pruning.
-bool PlanProducesOutput(const PlanNode* n) {
-  switch (n->kind) {
-    case PlanKind::kProject:
-    case PlanKind::kHashDistinct:
-      return true;
-    case PlanKind::kFilter:
-    case PlanKind::kLimit:
-      return !n->children.empty() && PlanProducesOutput(n->children[0].get());
-    default:
-      // Sort and the joins/scans mirror Operator::ProducesOutput and
-      // report false; result fetch flattens raw slots for them, so every
-      // column must be materialized.
-      return false;
-  }
 }
 
 void CollectBoundQuantifiers(const PlanNode* n, std::vector<int>* out) {
@@ -639,58 +581,6 @@ class SeqScanOp : public Operator {
     return true;
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    if (plan_->table->is_virtual) {
-      while (virtual_pos_ < virtual_rows_.size()) {
-        ec_->stats.rows_scanned++;
-        row_ = virtual_rows_[virtual_pos_++];
-        ctx->rows[plan_->quantifier] = &row_;
-        HDB_ASSIGN_OR_RETURN(
-            const bool pass,
-            EvalResidual(ec_, plan_->table->oid, preds_, *ctx));
-        if (pass) return true;
-      }
-      ctx->rows[plan_->quantifier] = nullptr;
-      return false;
-    }
-    if (morsel_mode_) {
-      for (;;) {
-        if (morsel_pos_ >= morsel_n_) {
-          // Morsel-boundary revocation; see the NextBatch twin above.
-          if (ec_->morsel_revoked && ec_->morsel_revoked()) break;
-          HDB_ASSIGN_OR_RETURN(morsel_n_, ec_->morsel_source->Next(
-                                              &morsel_bytes_, &morsel_rids_));
-          morsel_pos_ = 0;
-          if (morsel_n_ == 0) break;
-        }
-        const std::string& bytes = morsel_bytes_[morsel_pos_++];
-        ec_->stats.rows_scanned++;
-        HDB_RETURN_IF_ERROR(
-            decoder_.DecodeInto(bytes.data(), bytes.size(), &row_));
-        ctx->rows[plan_->quantifier] = &row_;
-        HDB_ASSIGN_OR_RETURN(
-            const bool pass,
-            EvalResidual(ec_, plan_->table->oid, preds_, *ctx));
-        if (pass) return true;
-      }
-      ctx->rows[plan_->quantifier] = nullptr;
-      return false;
-    }
-    Rid rid;
-    std::string bytes;
-    while (it_->Next(&rid, &bytes)) {
-      ec_->stats.rows_scanned++;
-      HDB_ASSIGN_OR_RETURN(
-          row_, table::DecodeRow(*plan_->table, bytes.data(), bytes.size()));
-      ctx->rows[plan_->quantifier] = &row_;
-      HDB_ASSIGN_OR_RETURN(const bool pass,
-                           EvalResidual(ec_, plan_->table->oid, preds_, *ctx));
-      if (pass) return true;
-    }
-    ctx->rows[plan_->quantifier] = nullptr;
-    return false;
-  }
-
   void Close() override {
     it_.reset();
     ReleaseArena(ec_, &arena_charged_);
@@ -704,9 +594,8 @@ class SeqScanOp : public Operator {
   std::optional<table::TableHeap::Iterator> it_;
   std::vector<std::vector<Value>> virtual_rows_;
   size_t virtual_pos_ = 0;
-  std::vector<Value> row_;
-  // Batch path: reusable decoded-row pool (the "arena") + scratch context
-  // for residual evaluation.
+  // Reusable decoded-row pool (the "arena") + scratch context for
+  // residual evaluation.
   size_t cap_ = kDefaultBatchCap;
   uint64_t arena_charged_ = 0;
   std::vector<table::Row> rows_pool_;
@@ -785,22 +674,6 @@ class IndexScanOp : public Operator {
     return true;
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    while (pos_ < rids_.size()) {
-      const Rid rid = rids_[pos_++];
-      ec_->stats.rows_scanned++;
-      HDB_ASSIGN_OR_RETURN(const std::string bytes, heap_->Get(rid));
-      HDB_ASSIGN_OR_RETURN(
-          row_, table::DecodeRow(*plan_->table, bytes.data(), bytes.size()));
-      ctx->rows[plan_->quantifier] = &row_;
-      HDB_ASSIGN_OR_RETURN(const bool pass,
-                           EvalResidual(ec_, plan_->table->oid, preds_, *ctx));
-      if (pass) return true;
-    }
-    ctx->rows[plan_->quantifier] = nullptr;
-    return false;
-  }
-
   void Close() override { ReleaseArena(ec_, &arena_charged_); }
 
  private:
@@ -810,7 +683,6 @@ class IndexScanOp : public Operator {
   table::TableHeap* heap_ = nullptr;
   std::vector<Rid> rids_;
   size_t pos_ = 0;
-  std::vector<Value> row_;
   size_t cap_ = kDefaultBatchCap;
   uint64_t arena_charged_ = 0;
   std::vector<table::Row> rows_pool_;
@@ -824,21 +696,10 @@ class IndexScanOp : public Operator {
 class FilterOp : public Operator {
  public:
   FilterOp(const PlanNode* plan, std::unique_ptr<Operator> child)
-      : plan_(plan), child_(std::move(child)),
+      : child_(std::move(child)),
         conjuncts_(PrepareUnobserved(plan->residual)) {}
 
   Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(RowContext* ctx) override {
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, child_->Next(ctx));
-      if (!more) return false;
-      if (plan_->residual == nullptr) return true;
-      HDB_ASSIGN_OR_RETURN(const bool ok,
-                           plan_->residual->EvaluatesToTrue(*ctx));
-      if (ok) return true;
-    }
-  }
 
   Result<bool> NextBatch(RowBatch* b) override {
     HDB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(b));
@@ -853,10 +714,8 @@ class FilterOp : public Operator {
   }
 
   void Close() override { child_->Close(); }
-  bool ProducesOutput() const override { return child_->ProducesOutput(); }
 
  private:
-  const PlanNode* plan_;
   std::unique_ptr<Operator> child_;
   std::vector<CheckedPred> conjuncts_;
   RowContext scratch_;
@@ -881,18 +740,6 @@ class ProjectOp : public Operator {
   }
 
   Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(RowContext* ctx) override {
-    HDB_ASSIGN_OR_RETURN(const bool more, child_->Next(ctx));
-    if (!more) return false;
-    ctx->output.clear();
-    ctx->output.reserve(plan_->projections.size());
-    for (const auto& item : plan_->projections) {
-      HDB_ASSIGN_OR_RETURN(Value v, item.expr->Evaluate(*ctx));
-      ctx->output.push_back(std::move(v));
-    }
-    return true;
-  }
 
   Result<bool> NextBatch(RowBatch* b) override {
     HDB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(b));
@@ -938,7 +785,6 @@ class ProjectOp : public Operator {
   }
 
   void Close() override { child_->Close(); }
-  bool ProducesOutput() const override { return true; }
 
  private:
   const PlanNode* plan_;
@@ -959,14 +805,6 @@ class LimitOp : public Operator {
     return child_->Open();
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    if (plan_->limit >= 0 && emitted_ >= plan_->limit) return false;
-    HDB_ASSIGN_OR_RETURN(const bool more, child_->Next(ctx));
-    if (!more) return false;
-    ++emitted_;
-    return true;
-  }
-
   Result<bool> NextBatch(RowBatch* b) override {
     if (plan_->limit >= 0 && emitted_ >= plan_->limit) return false;
     HDB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(b));
@@ -980,7 +818,6 @@ class LimitOp : public Operator {
   }
 
   void Close() override { child_->Close(); }
-  bool ProducesOutput() const override { return child_->ProducesOutput(); }
 
  private:
   const PlanNode* plan_;
@@ -1020,57 +857,39 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
     return child_->Open();
   }
 
-  Result<bool> Next(RowContext* ctx) override {
+  Result<bool> NextBatch(RowBatch* b) override {
+    if (draining_) return DrainBatch(b);
     for (;;) {
-      if (draining_) return NextDrain(ctx);
-      HDB_ASSIGN_OR_RETURN(const bool more, child_->Next(ctx));
+      HDB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(b));
       if (!more) {
         if (!spilled_) return false;
         HDB_RETURN_IF_ERROR(PrepareDrain());
-        continue;
+        return DrainBatch(b);
       }
-      EncodeValuesTo(ctx->output, &key_buf_);
-      if (!spilled_) {
-        if (seen_.find(std::string_view(key_buf_)) != seen_.end()) continue;
-        HDB_RETURN_IF_ERROR(AdmitKey());
-        if (!spilled_) return true;
-        // The charge for this very key tipped us into spilling: the key
-        // went out with the emitted dump, so emitting the row now is
-        // still exactly-once.
-        return true;
+      const size_t n = b->ActiveCount();
+      uint16_t* sel = b->MutableSel();
+      size_t k = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t pos = b->Active(i);
+        EncodeValuesTo(b->output(pos), &key_buf_);
+        if (spilled_) {
+          // Deferred mode, possibly entered by a charge earlier in this
+          // batch: the row joins the candidate stream.
+          HDB_RETURN_IF_ERROR(DeferRow(b->output(pos)));
+          continue;
+        }
+        // Transparent find: duplicates (the common case) never allocate.
+        // A charge that spills us on this very key is still exactly-once:
+        // the key went out with the emitted dump.
+        if (seen_.find(std::string_view(key_buf_)) == seen_.end()) {
+          HDB_RETURN_IF_ERROR(AdmitKey());
+          sel[k++] = static_cast<uint16_t>(pos);
+        }
       }
-      HDB_RETURN_IF_ERROR(DeferRow(ctx->output));
+      b->SetSelection(k);
+      // A wholly deferred batch has nothing to emit: keep pulling.
+      if (k > 0 || !spilled_) return true;
     }
-  }
-
-  Result<bool> NextBatch(RowBatch* b) override {
-    if (spilled_ || draining_) {
-      // Deferred mode is row-oriented; the default adapter captures
-      // drained rows (with output) into the caller's batch.
-      return Operator::NextBatch(b);
-    }
-    HDB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(b));
-    if (!more) return false;
-    const size_t n = b->ActiveCount();
-    uint16_t* sel = b->MutableSel();
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t pos = b->Active(i);
-      EncodeValuesTo(b->output(pos), &key_buf_);
-      if (spilled_) {
-        // A charge earlier in this batch spilled us; the rest of the
-        // batch joins the deferred stream.
-        HDB_RETURN_IF_ERROR(DeferRow(b->output(pos)));
-        continue;
-      }
-      // Transparent find: duplicates (the common case) never allocate.
-      if (seen_.find(std::string_view(key_buf_)) == seen_.end()) {
-        HDB_RETURN_IF_ERROR(AdmitKey());
-        sel[k++] = static_cast<uint16_t>(pos);
-      }
-    }
-    b->SetSelection(k);
-    return true;
   }
 
   void Close() override {
@@ -1085,7 +904,6 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
     candidate_spill_.reset();
     drain_reader_.reset();
   }
-  bool ProducesOutput() const override { return true; }
   uint64_t MemoryBytes() const override { return bytes_held_; }
   uint64_t SpilledBytes() const override { return op_spilled_bytes_; }
   uint64_t SpilledTuples() const override { return op_spilled_tuples_; }
@@ -1184,20 +1002,28 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
     return Status::OK();
   }
 
-  Result<bool> NextDrain(RowContext* ctx) {
-    std::vector<Value> tuple;
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, drain_reader_->Next(&tuple));
+  /// Replays deferred candidates in arrival order into the batch's output
+  /// column, skipping keys already emitted. The reader is dropped once
+  /// exhausted, so the candidate file's bytes are counted once.
+  Result<bool> DrainBatch(RowBatch* b) {
+    b->Reset();
+    if (!drain_reader_.has_value()) return false;
+    table::Row* out = b->OutputColumn();
+    size_t n = 0;
+    while (n < b->capacity()) {
+      HDB_ASSIGN_OR_RETURN(const bool more, drain_reader_->Next(&out[n]));
       if (!more) {
         ec_->stats.spill_bytes_read += candidate_spill_->byte_count();
-        return false;
+        drain_reader_.reset();
+        break;
       }
-      EncodeValuesTo(tuple, &key_buf_);
+      EncodeValuesTo(out[n], &key_buf_);
       if (seen_.find(std::string_view(key_buf_)) != seen_.end()) continue;
       HDB_RETURN_IF_ERROR(AdmitKey());
-      ctx->output = std::move(tuple);
-      return true;
+      ++n;
     }
+    b->SetSize(n);
+    return n > 0;
   }
 
   const PlanNode* plan_;
@@ -1220,38 +1046,52 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
 // Joins
 // ---------------------------------------------------------------------------
 
+/// Nested-loop join. The inner side fills the caller's batch directly; the
+/// current outer row's slot pointers are stamped beside every inner row
+/// and the extra condition runs over the batch. The inner is re-opened
+/// once per outer row, so output stays outer-major in inner order.
 class NLJoinOp : public Operator {
  public:
   NLJoinOp(const PlanNode* plan, std::unique_ptr<Operator> outer,
-           std::unique_ptr<Operator> inner)
-      : plan_(plan), outer_(std::move(outer)), inner_(std::move(inner)) {}
+           std::unique_ptr<Operator> inner, ExecContext* ec)
+      : outer_(std::move(outer)), inner_(std::move(inner)), ec_(ec),
+        extra_preds_(PrepareUnobserved(plan->extra_condition)) {}
 
   Status Open() override {
-    HDB_RETURN_IF_ERROR(outer_->Open());
-    have_outer_ = false;
-    return Status::OK();
+    InitScratchCtx(ec_, &scratch_);
+    outer_batch_ = std::make_unique<RowBatch>(
+        ec_->num_quantifiers + 1, EffectiveBatchCap(ec_, 0), ec_->params);
+    outer_i_ = 0;
+    inner_open_ = false;
+    return outer_->Open();
   }
 
-  Result<bool> Next(RowContext* ctx) override {
+  Result<bool> NextBatch(RowBatch* b) override {
     for (;;) {
-      if (!have_outer_) {
-        HDB_ASSIGN_OR_RETURN(const bool more, outer_->Next(ctx));
-        if (!more) return false;
-        have_outer_ = true;
-        inner_->Close();
-        HDB_RETURN_IF_ERROR(inner_->Open());
+      if (inner_open_) {
+        HDB_ASSIGN_OR_RETURN(const bool more, inner_->NextBatch(b));
+        if (more) {
+          const size_t opos = outer_batch_->Active(outer_i_);
+          for (size_t pos = 0; pos < b->size(); ++pos) {
+            outer_batch_->CopySlots(opos, b, pos);
+          }
+          HDB_RETURN_IF_ERROR(ApplyPredsToBatch(
+              /*ec=*/nullptr, /*table_oid=*/0, extra_preds_, b, &scratch_));
+          return true;
+        }
+        inner_open_ = false;
+        ++outer_i_;
       }
-      HDB_ASSIGN_OR_RETURN(const bool imore, inner_->Next(ctx));
-      if (!imore) {
-        have_outer_ = false;
+      if (outer_i_ >= outer_batch_->ActiveCount()) {
+        HDB_ASSIGN_OR_RETURN(const bool more,
+                             outer_->NextBatch(outer_batch_.get()));
+        if (!more) return false;
+        outer_i_ = 0;
         continue;
       }
-      if (plan_->extra_condition != nullptr) {
-        HDB_ASSIGN_OR_RETURN(const bool ok,
-                             plan_->extra_condition->EvaluatesToTrue(*ctx));
-        if (!ok) continue;
-      }
-      return true;
+      inner_->Close();
+      HDB_RETURN_IF_ERROR(inner_->Open());
+      inner_open_ = true;
     }
   }
 
@@ -1261,165 +1101,113 @@ class NLJoinOp : public Operator {
   }
 
  private:
-  const PlanNode* plan_;
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
-  bool have_outer_ = false;
+  ExecContext* ec_;
+  std::vector<CheckedPred> extra_preds_;
+  std::unique_ptr<RowBatch> outer_batch_;
+  size_t outer_i_ = 0;  // active index of the current outer row
+  bool inner_open_ = false;
+  RowContext scratch_;
 };
 
-class IndexNLJoinOp : public Operator {
+/// Batched index nested-loops matching, shared by IndexNLJoinOp and the
+/// hash join's alternate strategy (paper §4.3). Probe() evaluates the join
+/// key of every active row of an outer batch and looks all of them up in
+/// the B-tree under one index latch; Emit() hands the queued (outer
+/// row, rid) matches out a chunk at a time, fetching each chunk's inner
+/// rows under one heap latch and stamping the outer row's slots beside
+/// them. Inner rows are re-checked with `preds` (observed for feedback,
+/// paper §3.2), then with `extra`. The outer batch must stay untouched
+/// until every match it queued has been emitted.
+class IndexNLProbe {
  public:
-  IndexNLJoinOp(const PlanNode* plan, std::unique_ptr<Operator> outer,
-                ExecContext* ec)
-      : plan_(plan), outer_(std::move(outer)), ec_(ec),
-        preds_(PrepareResidual(plan->residual, plan->quantifier)),
-        extra_preds_(PrepareUnobserved(plan->extra_condition)) {}
+  IndexNLProbe(ExecContext* ec, const catalog::TableDef* table,
+               const catalog::IndexDef* index, int quantifier,
+               std::vector<CheckedPred> preds, std::vector<CheckedPred> extra)
+      : ec_(ec), table_(table), index_(index), quantifier_(quantifier),
+        preds_(std::move(preds)), extra_(std::move(extra)) {}
 
-  Status Open() override {
-    heap_ = ec_->table_heap(plan_->table->oid);
-    tree_ = ec_->index(plan_->index->oid);
+  /// Resolves the heap and index and charges the inner-row pool.
+  Status Open() {
+    heap_ = ec_->table_heap(table_->oid);
+    tree_ = ec_->index(index_->oid);
     if (heap_ == nullptr || tree_ == nullptr) {
-      return Status::Internal("index-NL join: missing heap or index");
+      return Status::Internal("index nested-loops: missing heap or index");
     }
-    matches_.clear();
-    pos_ = 0;
-    InitScratchCtx(ec_, &scratch_);
     pending_.clear();
     pending_pos_ = 0;
-    outer_done_ = false;
-    const size_t hint = ApproxRowBytes(*plan_->table);
+    InitScratchCtx(ec_, &scratch_);
+    const size_t hint = ApproxRowBytes(*table_);
     cap_ = EffectiveBatchCap(ec_, hint);
-    HDB_RETURN_IF_ERROR(ChargeArena(ec_, cap_ * hint, &arena_charged_));
-    return outer_->Open();
+    return ChargeArena(ec_, cap_ * hint, &arena_charged_);
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    for (;;) {
-      while (pos_ < matches_.size()) {
-        const Rid rid = matches_[pos_++];
-        HDB_ASSIGN_OR_RETURN(const std::string bytes, heap_->Get(rid));
-        HDB_ASSIGN_OR_RETURN(row_, table::DecodeRow(*plan_->table,
-                                                    bytes.data(),
-                                                    bytes.size()));
-        ctx->rows[plan_->quantifier] = &row_;
-        HDB_ASSIGN_OR_RETURN(
-            const bool pass,
-            EvalResidual(ec_, plan_->table->oid, preds_, *ctx));
-        if (!pass) continue;
-        if (plan_->extra_condition != nullptr) {
-          HDB_ASSIGN_OR_RETURN(const bool ok,
-                               plan_->extra_condition->EvaluatesToTrue(*ctx));
-          if (!ok) continue;
-        }
-        return true;
-      }
-      // Advance the outer row and probe.
-      HDB_ASSIGN_OR_RETURN(const bool more, outer_->Next(ctx));
-      if (!more) {
-        ctx->rows[plan_->quantifier] = nullptr;
-        return false;
-      }
-      HDB_ASSIGN_OR_RETURN(const Value key, plan_->outer_key->Evaluate(*ctx));
-      matches_.clear();
-      pos_ = 0;
-      if (key.is_null()) continue;  // NULL never equi-joins
-      const double h = OrderPreservingHash(key);
-      HDB_RETURN_IF_ERROR(tree_->ScanRange(h, true, h, true,
-                                           [this](double, Rid rid) {
-                                             matches_.push_back(rid);
-                                             return true;
-                                           }));
+  void Close() { ReleaseArena(ec_, &arena_charged_); }
+
+  /// Rows per emitted chunk (the governor-shrunk cap of the inner pool).
+  size_t cap() const { return cap_; }
+  bool HasPending() const { return pending_pos_ < pending_.size(); }
+
+  /// Queues the index matches of every active row of `outer`; a NULL key
+  /// never equi-joins.
+  Status Probe(const RowBatch* outer, const Expr& key) {
+    outer_ = outer;
+    pending_.clear();
+    pending_pos_ = 0;
+    probe_keys_.clear();
+    probe_pos_.clear();
+    for (size_t i = 0; i < outer->ActiveCount(); ++i) {
+      const size_t pos = outer->Active(i);
+      outer->BindRow(pos, &scratch_);
+      HDB_RETURN_IF_ERROR(EvalExprInto(&key, scratch_, &key_scratch_));
+      if (key_scratch_.is_null()) continue;
+      probe_keys_.push_back(OrderPreservingHash(key_scratch_));
+      probe_pos_.push_back(static_cast<uint16_t>(pos));
     }
+    if (probe_keys_.empty()) return Status::OK();
+    return tree_->ScanEqualBatch(probe_keys_.data(), probe_keys_.size(),
+                                 [this](size_t i, Rid rid) {
+                                   pending_.emplace_back(probe_pos_[i], rid);
+                                   return true;
+                                 });
   }
 
-  Result<bool> NextBatch(RowBatch* b) override {
+  /// Fills `b` with the next chunk of queued matches.
+  Status Emit(RowBatch* b) {
     b->Reset();
-    for (;;) {
-      if (pending_pos_ < pending_.size()) {
-        // Fetch up to one batch of matched inner rows (one heap latch for
-        // the whole chunk) and pair them with their outer rows.
-        const size_t n = std::min(std::min(cap_, b->capacity()),
-                                  pending_.size() - pending_pos_);
-        fetch_rids_.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          fetch_rids_[i] = pending_[pending_pos_ + i].second;
-        }
-        HDB_RETURN_IF_ERROR(heap_->GetMany(fetch_rids_.data(), n,
-                                           &fetch_pool_));
-        const table::Row** col = b->BindSlot(plan_->quantifier);
-        for (size_t i = 0; i < n; ++i) {
-          outer_batch_->CopySlots(pending_[pending_pos_ + i].first, b, i);
-          col[i] = &fetch_pool_[i];
-        }
-        pending_pos_ += n;
-        b->SetSize(n);
-        BumpBatchStats(ec_, n);
-        HDB_RETURN_IF_ERROR(
-            ApplyPredsToBatch(ec_, plan_->table->oid, preds_, b, &scratch_));
-        HDB_RETURN_IF_ERROR(ApplyPredsToBatch(/*ec=*/nullptr, /*table_oid=*/0,
-                                              extra_preds_, b, &scratch_));
-        return true;
-      }
-      if (outer_done_) return false;
-      if (outer_batch_ == nullptr) {
-        outer_batch_ = std::make_unique<RowBatch>(
-            ec_->num_quantifiers + 1, cap_, ec_->params);
-      }
-      HDB_ASSIGN_OR_RETURN(const bool more,
-                           outer_->NextBatch(outer_batch_.get()));
-      if (!more) {
-        outer_done_ = true;
-        continue;
-      }
-      // Evaluate the outer keys for the whole batch, then probe the B-tree
-      // under a single index latch.
-      pending_.clear();
-      pending_pos_ = 0;
-      probe_keys_.clear();
-      probe_pos_.clear();
-      const size_t on = outer_batch_->ActiveCount();
-      for (size_t i = 0; i < on; ++i) {
-        const size_t opos = outer_batch_->Active(i);
-        outer_batch_->BindRow(opos, &scratch_);
-        HDB_RETURN_IF_ERROR(
-            EvalExprInto(plan_->outer_key.get(), scratch_, &key_scratch_));
-        const Value& key = key_scratch_;
-        if (key.is_null()) continue;  // NULL never equi-joins
-        probe_keys_.push_back(OrderPreservingHash(key));
-        probe_pos_.push_back(static_cast<uint16_t>(opos));
-      }
-      if (!probe_keys_.empty()) {
-        HDB_RETURN_IF_ERROR(tree_->ScanEqualBatch(
-            probe_keys_.data(), probe_keys_.size(),
-            [this](size_t i, Rid rid) {
-              pending_.emplace_back(probe_pos_[i], rid);
-              return true;
-            }));
-      }
+    const size_t n =
+        std::min(std::min(cap_, b->capacity()), pending_.size() - pending_pos_);
+    fetch_rids_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      fetch_rids_[i] = pending_[pending_pos_ + i].second;
     }
-  }
-
-  void Close() override {
-    outer_->Close();
-    ReleaseArena(ec_, &arena_charged_);
+    HDB_RETURN_IF_ERROR(heap_->GetMany(fetch_rids_.data(), n, &fetch_pool_));
+    const table::Row** col = b->BindSlot(quantifier_);
+    for (size_t i = 0; i < n; ++i) {
+      outer_->CopySlots(pending_[pending_pos_ + i].first, b, i);
+      col[i] = &fetch_pool_[i];
+    }
+    pending_pos_ += n;
+    b->SetSize(n);
+    BumpBatchStats(ec_, n);
+    HDB_RETURN_IF_ERROR(
+        ApplyPredsToBatch(ec_, table_->oid, preds_, b, &scratch_));
+    return ApplyPredsToBatch(/*ec=*/nullptr, /*table_oid=*/0, extra_, b,
+                             &scratch_);
   }
 
  private:
-  const PlanNode* plan_;
-  std::unique_ptr<Operator> outer_;
   ExecContext* ec_;
+  const catalog::TableDef* table_;
+  const catalog::IndexDef* index_;
+  int quantifier_;
   std::vector<CheckedPred> preds_;
-  std::vector<CheckedPred> extra_preds_;
+  std::vector<CheckedPred> extra_;
   table::TableHeap* heap_ = nullptr;
   index::BTree* tree_ = nullptr;
-  std::vector<Rid> matches_;
-  size_t pos_ = 0;
-  std::vector<Value> row_;
-  // Batch path: outer batch, (outer pos, inner rid) match list, and the
-  // reusable inner-row pool.
-  std::unique_ptr<RowBatch> outer_batch_;
-  bool outer_done_ = false;
-  std::vector<std::pair<uint16_t, Rid>> pending_;
+  const RowBatch* outer_ = nullptr;
+  std::vector<std::pair<uint16_t, Rid>> pending_;  // (outer pos, rid)
   size_t pending_pos_ = 0;
   std::vector<double> probe_keys_;
   std::vector<uint16_t> probe_pos_;
@@ -1429,6 +1217,54 @@ class IndexNLJoinOp : public Operator {
   uint64_t arena_charged_ = 0;
   Value key_scratch_;  // reused join-key value (keeps string capacity)
   RowContext scratch_;
+};
+
+class IndexNLJoinOp : public Operator {
+ public:
+  IndexNLJoinOp(const PlanNode* plan, std::unique_ptr<Operator> outer,
+                ExecContext* ec)
+      : plan_(plan), outer_(std::move(outer)), ec_(ec),
+        probe_(ec, plan->table, plan->index, plan->quantifier,
+               PrepareResidual(plan->residual, plan->quantifier),
+               PrepareUnobserved(plan->extra_condition)) {}
+
+  Status Open() override {
+    HDB_RETURN_IF_ERROR(probe_.Open());
+    outer_batch_ = std::make_unique<RowBatch>(ec_->num_quantifiers + 1,
+                                              probe_.cap(), ec_->params);
+    outer_done_ = false;
+    return outer_->Open();
+  }
+
+  Result<bool> NextBatch(RowBatch* b) override {
+    for (;;) {
+      if (probe_.HasPending()) {
+        HDB_RETURN_IF_ERROR(probe_.Emit(b));
+        return true;
+      }
+      if (outer_done_) return false;
+      HDB_ASSIGN_OR_RETURN(const bool more,
+                           outer_->NextBatch(outer_batch_.get()));
+      if (!more) {
+        outer_done_ = true;
+        continue;
+      }
+      HDB_RETURN_IF_ERROR(probe_.Probe(outer_batch_.get(), *plan_->outer_key));
+    }
+  }
+
+  void Close() override {
+    outer_->Close();
+    probe_.Close();
+  }
+
+ private:
+  const PlanNode* plan_;
+  std::unique_ptr<Operator> outer_;
+  ExecContext* ec_;
+  IndexNLProbe probe_;
+  std::unique_ptr<RowBatch> outer_batch_;
+  bool outer_done_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -1462,8 +1298,9 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   Status Open() override {
     build_quantifier_ = plan_->children[1]->quantifier;
     InitScratchCtx(ec_, &probe_ctx_);
-    InitScratchCtx(ec_, &row_ctx_);
     cap_ = EffectiveBatchCap(ec_, 0);
+    outer_batch_ = std::make_unique<RowBatch>(ec_->num_quantifiers + 1, cap_,
+                                              ec_->params);
     emit_.clear();
     emit_pos_ = 0;
     if (ec_->memory != nullptr) {
@@ -1487,67 +1324,13 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     return Status::OK();
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    if (alternate_) return NextAlternate(ctx);
-    for (;;) {
-      // Emit pending matches for the current probe row.
-      while (match_pos_ < current_matches_.size()) {
-        const size_t idx = current_matches_[match_pos_++];
-        ctx->rows[build_quantifier_] = &build_rows_[idx];
-        if (plan_->extra_condition != nullptr) {
-          HDB_ASSIGN_OR_RETURN(const bool ok,
-                               plan_->extra_condition->EvaluatesToTrue(*ctx));
-          if (!ok) continue;
-        }
-        return true;
-      }
-      // Spilled-partition processing after the main probe is drained.
-      if (outer_done_) {
-        HDB_ASSIGN_OR_RETURN(const bool more, NextSpilled(ctx));
-        if (more) return true;
-        ctx->rows[build_quantifier_] = nullptr;
-        return false;
-      }
-      HDB_ASSIGN_OR_RETURN(const bool more, outer_->Next(ctx));
-      if (!more) {
-        outer_done_ = true;
-        HDB_RETURN_IF_ERROR(PrepareSpilledProcessing());
-        continue;
-      }
-      HDB_ASSIGN_OR_RETURN(const Value key, plan_->outer_key->Evaluate(*ctx));
-      current_matches_.clear();
-      match_pos_ = 0;
-      if (key.is_null()) continue;
-      const uint64_t h = key.Hash();
-      const int p = static_cast<int>(h % kPartitions);
-      if (partition_spilled_[p]) {
-        // Probe rows destined for an evicted partition are spilled too.
-        std::vector<Value> flat;
-        FlattenOuter(*ctx, &flat);
-        HDB_RETURN_IF_ERROR(AppendSpill(probe_spill_[p].get(), flat));
-        continue;
-      }
-      auto it = table_.find(h);
-      if (it == table_.end()) continue;
-      for (const size_t idx : it->second) {
-        if (build_partition_[idx] == p &&
-            build_keys_[idx].Compare(key) == 0) {
-          current_matches_.push_back(idx);
-        }
-      }
-    }
-  }
-
+  /// One loop serves the in-memory probe and spilled-partition replay:
+  /// refill outer_batch_ (from the probe child, or from the loaded
+  /// spilled pair's probe stream once the child is exhausted), collect
+  /// its matches, emit them a chunk at a time.
   Result<bool> NextBatch(RowBatch* b) override {
     b->Reset();
-    if (alternate_) {
-      // The alternate strategy and spilled-partition replays stay
-      // row-oriented (they are the degraded low-memory paths); capture
-      // their rows into the batch.
-      return FillFromRowFn(b, [this](RowContext* c) {
-        return NextAlternate(c);
-      });
-    }
+    if (alternate_) return AlternateBatch(b);
     for (;;) {
       if (emit_pos_ < emit_.size()) {
         const size_t n = std::min(std::min(cap_, b->capacity()),
@@ -1564,57 +1347,26 @@ class HashJoinOp : public Operator, public MemoryConsumer {
                                               extra_preds_, b, &probe_ctx_));
         return true;
       }
-      if (outer_done_) {
-        return FillFromRowFn(b, [this](RowContext* c) {
-          return NextSpilled(c);
-        });
-      }
-      if (outer_batch_ == nullptr) {
-        outer_batch_ = std::make_unique<RowBatch>(
-            ec_->num_quantifiers + 1, cap_, ec_->params);
-      }
-      HDB_ASSIGN_OR_RETURN(const bool more,
-                           outer_->NextBatch(outer_batch_.get()));
-      if (!more) {
-        outer_done_ = true;
-        HDB_RETURN_IF_ERROR(PrepareSpilledProcessing());
-        continue;
-      }
-      // Probe the whole outer batch, collecting (outer pos, build row)
-      // match pairs for chunked emission.
-      emit_.clear();
-      emit_pos_ = 0;
-      const size_t on = outer_batch_->ActiveCount();
-      for (size_t i = 0; i < on; ++i) {
-        const size_t opos = outer_batch_->Active(i);
-        outer_batch_->BindRow(opos, &probe_ctx_);
-        HDB_RETURN_IF_ERROR(
-            EvalExprInto(plan_->outer_key.get(), probe_ctx_, &key_scratch_));
-        const Value& key = key_scratch_;
-        if (key.is_null()) continue;
-        const uint64_t h = key.Hash();
-        const int p = static_cast<int>(h % kPartitions);
-        if (partition_spilled_[p]) {
-          flat_scratch_.clear();
-          FlattenOuter(probe_ctx_, &flat_scratch_);
-          HDB_RETURN_IF_ERROR(AppendSpill(probe_spill_[p].get(), flat_scratch_));
+      if (!outer_done_) {
+        HDB_ASSIGN_OR_RETURN(const bool more,
+                             outer_->NextBatch(outer_batch_.get()));
+        if (!more) {
+          outer_done_ = true;
+          HDB_RETURN_IF_ERROR(PrepareSpilledProcessing());
           continue;
         }
-        auto it = table_.find(h);
-        if (it == table_.end()) continue;
-        for (const size_t idx : it->second) {
-          if (build_partition_[idx] == p &&
-              build_keys_[idx].Compare(key) == 0) {
-            emit_.emplace_back(static_cast<uint16_t>(opos), idx);
-          }
-        }
+      } else {
+        HDB_ASSIGN_OR_RETURN(const bool more, NextReplayBatch());
+        if (!more) return false;
       }
+      HDB_RETURN_IF_ERROR(CollectMatches());
     }
   }
 
   void Close() override {
     outer_->Close();
     inner_->Close();
+    if (alt_probe_ != nullptr) alt_probe_->Close();
     if (ec_->memory != nullptr) {
       ec_->memory->UnregisterConsumer(this);
       ec_->memory->ReleaseBytes(build_bytes_ + spill_loaded_bytes_);
@@ -1688,8 +1440,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   Status BuildPhase() {
     HDB_RETURN_IF_ERROR(inner_->Open());
     RowContext build_ctx;
-    build_ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-    build_ctx.params = ec_->params;
+    InitScratchCtx(ec_, &build_ctx);
     if (build_batch_ == nullptr) {
       build_batch_ = std::make_unique<RowBatch>(ec_->num_quantifiers + 1,
                                                 cap_, ec_->params);
@@ -1778,6 +1529,42 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     return freed;
   }
 
+  /// Probes the hash table with every active row of outer_batch_ and
+  /// queues the (outer pos, build idx) matches in emit_. In the in-memory
+  /// phase a row whose partition was evicted goes to that partition's
+  /// probe spill file instead; during replay the table holds exactly the
+  /// loaded pair's build side.
+  Status CollectMatches() {
+    emit_.clear();
+    emit_pos_ = 0;
+    const size_t on = outer_batch_->ActiveCount();
+    for (size_t i = 0; i < on; ++i) {
+      const size_t opos = outer_batch_->Active(i);
+      outer_batch_->BindRow(opos, &probe_ctx_);
+      HDB_RETURN_IF_ERROR(
+          EvalExprInto(plan_->outer_key.get(), probe_ctx_, &key_scratch_));
+      const Value& key = key_scratch_;
+      if (key.is_null()) continue;
+      const uint64_t h = key.Hash();
+      const int p = static_cast<int>(h % kPartitions);
+      if (!outer_done_ && partition_spilled_[p]) {
+        flat_scratch_.clear();
+        FlattenOuter(probe_ctx_, &flat_scratch_);
+        HDB_RETURN_IF_ERROR(AppendSpill(probe_spill_[p].get(), flat_scratch_));
+        continue;
+      }
+      auto it = table_.find(h);
+      if (it == table_.end()) continue;
+      for (const size_t idx : it->second) {
+        if (build_partition_[idx] == p &&
+            build_keys_[idx].Compare(key) == 0) {
+          emit_.emplace_back(static_cast<uint16_t>(opos), idx);
+        }
+      }
+    }
+    return Status::OK();
+  }
+
   void FlattenOuter(const RowContext& ctx, std::vector<Value>* flat) const {
     for (const int q : outer_quants_) {
       const std::vector<Value>& row = *ctx.rows[q];
@@ -1785,13 +1572,15 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
   }
 
-  void RestoreOuter(const std::vector<Value>& flat, RowContext* ctx) {
+  /// Splits a flattened probe tuple back into one row per outer_quants_
+  /// entry.
+  void UnflattenOuter(const std::vector<Value>& flat,
+                      std::vector<table::Row>* rows) const {
+    rows->resize(outer_quants_.size());
     size_t pos = 0;
-    reload_rows_.assign(ec_->num_quantifiers + 1, {});
-    for (const int q : outer_quants_) {
-      const size_t arity = outer_arity_.at(q);
-      reload_rows_[q].assign(flat.begin() + pos, flat.begin() + pos + arity);
-      ctx->rows[q] = &reload_rows_[q];
+    for (size_t k = 0; k < outer_quants_.size(); ++k) {
+      const size_t arity = outer_arity_.at(outer_quants_[k]);
+      (*rows)[k].assign(flat.begin() + pos, flat.begin() + pos + arity);
       pos += arity;
     }
   }
@@ -1812,10 +1601,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     // The in-memory probe phase is over: drop the memory-resident build
     // side and its charge so spilled-partition replay starts from a clean
     // account, then queue every spilled pair as grace-hash work.
-    table_.clear();
-    build_rows_.clear();
-    build_keys_.clear();
-    build_partition_.clear();
+    ClearTable();
     if (ec_->memory != nullptr && build_bytes_ > 0) {
       ec_->memory->ReleaseBytes(build_bytes_);
     }
@@ -1837,6 +1623,13 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
     spill_loaded_ = false;
     return Status::OK();
+  }
+
+  void ClearTable() {
+    table_.clear();
+    build_rows_.clear();
+    build_keys_.clear();
+    build_partition_.clear();
   }
 
   /// Bytes of loaded build side the replay phase allows itself before
@@ -1864,8 +1657,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
       k.level = level;
     }
     RowContext key_ctx;
-    key_ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-    key_ctx.params = ec_->params;
+    InitScratchCtx(ec_, &key_ctx);
     std::vector<Value> row;
     auto breader = pair.build->Read();
     for (;;) {
@@ -1878,16 +1670,17 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
     ec_->stats.spill_bytes_read += pair.build->byte_count();
     std::vector<Value> flat;
+    std::vector<table::Row> restored;
     auto preader = pair.probe->Read();
-    RowContext probe_ctx;
-    probe_ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-    probe_ctx.params = ec_->params;
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more, preader.Next(&flat));
       if (!more) break;
-      RestoreOuter(flat, &probe_ctx);
+      UnflattenOuter(flat, &restored);
+      for (size_t k = 0; k < outer_quants_.size(); ++k) {
+        key_ctx.rows[outer_quants_[k]] = &restored[k];
+      }
       HDB_ASSIGN_OR_RETURN(const Value key,
-                           plan_->outer_key->Evaluate(probe_ctx));
+                           plan_->outer_key->Evaluate(key_ctx));
       if (key.is_null()) continue;
       const int c = static_cast<int>((key.Hash() >> shift) % kPartitions);
       HDB_RETURN_IF_ERROR(kids[c].probe->Append(flat));
@@ -1905,16 +1698,12 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     return Status::OK();
   }
 
-  /// Loads a pair's build side into the hash table, charging every row to
-  /// the task quota (the old path loaded unconditionally — a spilled
-  /// partition could silently blow the limit it was evicted to respect).
+  /// Loads a pair's build side into the (cleared) hash table, charging
+  /// every row to the task quota so a spilled partition cannot silently
+  /// blow the limit it was evicted to respect.
   Status LoadPair(SpillPair pair) {
-    spill_build_rows_.clear();
-    spill_build_keys_.clear();
-    spill_table_.clear();
     RowContext key_ctx;
-    key_ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-    key_ctx.params = ec_->params;
+    InitScratchCtx(ec_, &key_ctx);
     auto reader = pair.build->Read();
     std::vector<Value> row;
     for (;;) {
@@ -1925,19 +1714,18 @@ class HashJoinOp : public Operator, public MemoryConsumer {
         HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(row_bytes));
       }
       spill_loaded_bytes_ += row_bytes;
-      spill_build_rows_.push_back(row);
-      key_ctx.rows[build_quantifier_] = &spill_build_rows_.back();
-      HDB_ASSIGN_OR_RETURN(const Value key,
-                           plan_->inner_key->Evaluate(key_ctx));
-      spill_build_keys_.push_back(key);
-      spill_table_[key.Hash()].push_back(spill_build_rows_.size() - 1);
+      key_ctx.rows[build_quantifier_] = &row;
+      HDB_ASSIGN_OR_RETURN(Value key, plan_->inner_key->Evaluate(key_ctx));
+      const uint64_t h = key.Hash();
+      table_[h].push_back(build_rows_.size());
+      build_partition_.push_back(static_cast<int>(h % kPartitions));
+      build_keys_.push_back(std::move(key));
+      build_rows_.push_back(std::move(row));
     }
     ec_->stats.spill_bytes_read += pair.build->byte_count();
     current_pair_ = std::move(pair);
     probe_reader_.emplace(current_pair_.probe->Read());
     spill_loaded_ = true;
-    current_matches_.clear();
-    match_pos_ = 0;
     return Status::OK();
   }
 
@@ -1947,9 +1735,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
       ec_->memory->ReleaseBytes(spill_loaded_bytes_);
     }
     spill_loaded_bytes_ = 0;
-    spill_build_rows_.clear();
-    spill_build_keys_.clear();
-    spill_table_.clear();
+    ClearTable();
     probe_reader_.reset();
     current_pair_.build.reset();
     current_pair_.probe.reset();
@@ -1963,60 +1749,19 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     for (const auto& c : n->children) RecordArities(c.get());
   }
 
-  /// Fills a batch by capturing rows from a row-producing member function
-  /// (spilled-partition replay, alternate strategy). The sources rebind
-  /// per-row storage, so CaptureRow's copy is required.
-  template <typename Fn>
-  Result<bool> FillFromRowFn(RowBatch* b, Fn&& fn) {
-    size_t n = 0;
-    while (n < std::min(cap_, b->capacity())) {
-      HDB_ASSIGN_OR_RETURN(const bool more, fn(&row_ctx_));
-      if (!more) break;
-      b->CaptureRow(n, row_ctx_, /*with_output=*/false);
-      ++n;
-    }
-    b->SetSize(n);
-    return n > 0;
-  }
-
-  Result<bool> NextSpilled(RowContext* ctx) {
+  /// Refills outer_batch_ from spilled-partition replay: the next batch of
+  /// the loaded pair's probe stream, loading (or first re-partitioning)
+  /// the next queued pair whenever a stream ends. A build side too big
+  /// for the load budget is split on the next 3 hash bits instead of being
+  /// loaded whole — the recursion that makes ≥10x-over-limit inputs finish
+  /// inside the limit. False when no grace-hash work is left.
+  Result<bool> NextReplayBatch() {
     for (;;) {
-      while (match_pos_ < current_matches_.size()) {
-        const size_t idx = current_matches_[match_pos_++];
-        ctx->rows[build_quantifier_] = &spill_build_rows_[idx];
-        if (plan_->extra_condition != nullptr) {
-          HDB_ASSIGN_OR_RETURN(const bool ok,
-                               plan_->extra_condition->EvaluatesToTrue(*ctx));
-          if (!ok) continue;
-        }
-        return true;
-      }
-      // Advance within the current spilled pair's probe stream.
       if (spill_loaded_) {
-        std::vector<Value> flat;
-        HDB_ASSIGN_OR_RETURN(const bool more, probe_reader_->Next(&flat));
-        if (more) {
-          RestoreOuter(flat, ctx);
-          HDB_ASSIGN_OR_RETURN(const Value key,
-                               plan_->outer_key->Evaluate(*ctx));
-          current_matches_.clear();
-          match_pos_ = 0;
-          if (key.is_null()) continue;
-          auto it = spill_table_.find(key.Hash());
-          if (it == spill_table_.end()) continue;
-          for (const size_t idx : it->second) {
-            if (spill_build_keys_[idx].Compare(key) == 0) {
-              current_matches_.push_back(idx);
-            }
-          }
-          continue;
-        }
+        HDB_ASSIGN_OR_RETURN(const bool more, ReadReplayBatch());
+        if (more) return true;
         FinishCurrentPair();
       }
-      // Pop the next pair of grace-hash work. A build side too big for
-      // the load budget is split on the next 3 hash bits instead of being
-      // loaded whole — the recursion that makes ≥10x-over-limit inputs
-      // finish inside the limit.
       if (spill_queue_.empty()) return false;
       SpillPair pair = std::move(spill_queue_.front());
       spill_queue_.pop_front();
@@ -2029,72 +1774,66 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
   }
 
-  // --- Alternate index-NL strategy ---
-  Status OpenAlternate() {
-    const PlanNode* outer_scan = plan_->children[0].get();
-    alt_heap_ = ec_->table_heap(outer_scan->table->oid);
-    alt_tree_ = ec_->index(plan_->alt_index->oid);
-    if (alt_heap_ == nullptr || alt_tree_ == nullptr) {
-      return Status::Internal("alternate strategy: missing heap or index");
+  /// Reads up to one batch of probe tuples from the loaded pair into
+  /// replay_rows_ and binds them as outer_batch_'s outer slots.
+  Result<bool> ReadReplayBatch() {
+    outer_batch_->Reset();
+    const size_t cap = outer_batch_->capacity();
+    if (replay_rows_.size() < cap) replay_rows_.resize(cap);
+    size_t n = 0;
+    while (n < cap) {
+      HDB_ASSIGN_OR_RETURN(const bool more,
+                           probe_reader_->Next(&flat_scratch_));
+      if (!more) break;
+      UnflattenOuter(flat_scratch_, &replay_rows_[n++]);
     }
-    alt_outer_preds_ =
-        PrepareResidual(outer_scan->residual, outer_scan->quantifier);
-    alt_build_pos_ = 0;
-    alt_matches_.clear();
-    alt_match_pos_ = 0;
-    return Status::OK();
+    for (size_t k = 0; k < outer_quants_.size(); ++k) {
+      const table::Row** col = outer_batch_->BindSlot(outer_quants_[k]);
+      for (size_t i = 0; i < n; ++i) col[i] = &replay_rows_[i][k];
+    }
+    outer_batch_->SetSize(n);
+    return n > 0;
   }
 
-  Result<bool> NextAlternate(RowContext* ctx) {
+  // --- Alternate index-NL strategy ---
+
+  /// The build rows become the outer side of an index nested-loops probe
+  /// into the probe side's table. The probe matches on order-preserving
+  /// hash codes, so the equi condition is re-verified on values ahead of
+  /// the extra condition.
+  Status OpenAlternate() {
     const PlanNode* outer_scan = plan_->children[0].get();
-    const int outer_q = outer_scan->quantifier;
+    std::vector<CheckedPred> extra = PrepareUnobserved(
+        Expr::Compare(CompareOp::kEq, plan_->outer_key, plan_->inner_key));
+    extra.insert(extra.end(), extra_preds_.begin(), extra_preds_.end());
+    alt_probe_ = std::make_unique<IndexNLProbe>(
+        ec_, outer_scan->table, plan_->alt_index, outer_scan->quantifier,
+        PrepareResidual(outer_scan->residual, outer_scan->quantifier),
+        std::move(extra));
+    alt_outer_ = std::make_unique<RowBatch>(ec_->num_quantifiers + 1, cap_,
+                                            ec_->params);
+    alt_build_pos_ = 0;
+    return alt_probe_->Open();
+  }
+
+  Result<bool> AlternateBatch(RowBatch* b) {
     for (;;) {
-      while (alt_match_pos_ < alt_matches_.size()) {
-        const Rid rid = alt_matches_[alt_match_pos_++];
-        HDB_ASSIGN_OR_RETURN(const std::string bytes, alt_heap_->Get(rid));
-        HDB_ASSIGN_OR_RETURN(
-            alt_outer_row_,
-            table::DecodeRow(*outer_scan->table, bytes.data(), bytes.size()));
-        ctx->rows[outer_q] = &alt_outer_row_;
-        ctx->rows[build_quantifier_] = &build_rows_[alt_build_pos_ - 1];
-        HDB_ASSIGN_OR_RETURN(const bool pass,
-                             EvalResidual(ec_, outer_scan->table->oid,
-                                          alt_outer_preds_, *ctx));
-        if (!pass) continue;
-        // Re-verify the equi condition on values (index probes use hash
-        // codes) and any extra condition.
-        HDB_ASSIGN_OR_RETURN(const Value ov, plan_->outer_key->Evaluate(*ctx));
-        HDB_ASSIGN_OR_RETURN(const Value iv, plan_->inner_key->Evaluate(*ctx));
-        if (ov.is_null() || iv.is_null() || ov.Compare(iv) != 0) continue;
-        if (plan_->extra_condition != nullptr) {
-          HDB_ASSIGN_OR_RETURN(const bool ok,
-                               plan_->extra_condition->EvaluatesToTrue(*ctx));
-          if (!ok) continue;
-        }
+      if (alt_probe_->HasPending()) {
+        HDB_RETURN_IF_ERROR(alt_probe_->Emit(b));
         return true;
       }
-      // Next build row: probe the outer table's index with its key.
-      for (;;) {
-        if (alt_build_pos_ >= build_rows_.size()) return false;
-        if (!build_rows_[alt_build_pos_].empty()) break;
-        ++alt_build_pos_;
+      // Bind the next batch of build rows as the outer side.
+      alt_outer_->Reset();
+      const table::Row** col = alt_outer_->BindSlot(build_quantifier_);
+      size_t n = 0;
+      while (n < alt_outer_->capacity() &&
+             alt_build_pos_ < build_rows_.size()) {
+        col[n++] = &build_rows_[alt_build_pos_++];
       }
-      RowContext key_ctx;
-      key_ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-      key_ctx.params = ec_->params;
-      key_ctx.rows[build_quantifier_] = &build_rows_[alt_build_pos_];
-      ++alt_build_pos_;
-      HDB_ASSIGN_OR_RETURN(const Value key,
-                           plan_->inner_key->Evaluate(key_ctx));
-      alt_matches_.clear();
-      alt_match_pos_ = 0;
-      if (key.is_null()) continue;
-      const double h = OrderPreservingHash(key);
-      HDB_RETURN_IF_ERROR(alt_tree_->ScanRange(h, true, h, true,
-                                               [this](double, Rid rid) {
-                                                 alt_matches_.push_back(rid);
-                                                 return true;
-                                               }));
+      if (n == 0) return false;
+      alt_outer_->SetSize(n);
+      HDB_RETURN_IF_ERROR(
+          alt_probe_->Probe(alt_outer_.get(), *plan_->inner_key));
     }
   }
 
@@ -2106,7 +1845,8 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   int build_quantifier_ = -1;
   std::vector<int> outer_quants_;
 
-  // In-memory build state.
+  // Hash table: the in-memory build side, or during replay the loaded
+  // spilled pair's build side.
   std::unordered_map<uint64_t, std::vector<size_t>> table_;
   std::vector<std::vector<Value>> build_rows_;
   std::vector<Value> build_keys_;
@@ -2118,14 +1858,9 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   std::unique_ptr<SpillFile> probe_spill_[kPartitions];
   uint64_t build_bytes_ = 0;
 
-  // Probe state.
-  std::vector<size_t> current_matches_;
-  size_t match_pos_ = 0;
+  // Probe state: the outer batch, its (outer pos, build idx) matches for
+  // chunked emission, and scratch.
   bool outer_done_ = false;
-
-  // Batch path: outer/build batches, (outer pos, build idx) match list
-  // for chunked emission, and scratch contexts. row_ctx_ is dedicated to
-  // the row-oriented capture paths (spill replay, alternate strategy).
   std::unique_ptr<RowBatch> outer_batch_;
   std::unique_ptr<RowBatch> build_batch_;
   std::vector<std::pair<uint16_t, size_t>> emit_;
@@ -2135,34 +1870,27 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   size_t cap_ = kDefaultBatchCap;
   Value key_scratch_;  // reused join-key value (keeps string capacity)
   RowContext probe_ctx_;
-  RowContext row_ctx_;
 
   // Spilled-partition (grace hash) replay state: the work queue of
-  // spilled pairs, the pair currently loaded, and the quota charged for
-  // its build side (released when the pair is drained).
+  // spilled pairs, the pair currently loaded, the quota charged for its
+  // build side (released when the pair is drained), and the restored
+  // probe rows outer_batch_ points into.
   std::deque<SpillPair> spill_queue_;
   SpillPair current_pair_;
   uint64_t spill_loaded_bytes_ = 0;
   bool spill_loaded_ = false;
   std::map<int, size_t> outer_arity_;
-  std::vector<std::vector<Value>> reload_rows_;
-  std::vector<std::vector<Value>> spill_build_rows_;
-  std::vector<Value> spill_build_keys_;
-  std::unordered_map<uint64_t, std::vector<size_t>> spill_table_;
+  std::vector<std::vector<table::Row>> replay_rows_;  // [pos][outer quant]
   std::optional<SpillFile::Reader> probe_reader_;
   // Cumulative spill output for EXPLAIN ANALYZE's `spilled=` actuals.
   uint64_t op_spilled_bytes_ = 0;
   uint64_t op_spilled_tuples_ = 0;
 
-  // Alternate-strategy state.
+  // Alternate-strategy state: build rows bound as the outer batch.
   bool alternate_ = false;
-  table::TableHeap* alt_heap_ = nullptr;
-  index::BTree* alt_tree_ = nullptr;
-  std::vector<CheckedPred> alt_outer_preds_;
+  std::unique_ptr<IndexNLProbe> alt_probe_;
+  std::unique_ptr<RowBatch> alt_outer_;
   size_t alt_build_pos_ = 0;
-  std::vector<Rid> alt_matches_;
-  size_t alt_match_pos_ = 0;
-  std::vector<Value> alt_outer_row_;
 };
 
 // ---------------------------------------------------------------------------
@@ -2191,23 +1919,6 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
     emitting_ = true;
     pos_ = results_.begin();
     return Status::OK();
-  }
-
-  Result<bool> Next(RowContext* ctx) override {
-    const size_t group_slot = ec_->num_quantifiers;
-    while (pos_ != results_.end()) {
-      current_ = pos_->second;
-      ++pos_;
-      ctx->rows[group_slot] = &current_;
-      if (plan_->having != nullptr) {
-        HDB_ASSIGN_OR_RETURN(const bool ok,
-                             plan_->having->EvaluatesToTrue(*ctx));
-        if (!ok) continue;
-      }
-      return true;
-    }
-    ctx->rows[group_slot] = nullptr;
-    return false;
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
@@ -2441,10 +2152,9 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
 
   std::map<std::string, std::vector<Value>> results_;
   std::map<std::string, std::vector<Value>>::iterator pos_;
-  std::vector<Value> current_;
 
-  // Batch path: child batch plus per-row scratch buffers (reused across
-  // the whole aggregation, so the hot loop does not allocate).
+  // Child batch plus per-row scratch buffers (reused across the whole
+  // aggregation, so the hot loop does not allocate).
   std::unique_ptr<RowBatch> child_batch_;
   std::vector<Value> scratch_keys_;
   std::vector<Value> scratch_args_;
@@ -2492,17 +2202,6 @@ class SortOp : public Operator, public MemoryConsumer {
     }
     HDB_RETURN_IF_ERROR(Materialize());
     return Status::OK();
-  }
-
-  Result<bool> Next(RowContext* ctx) override {
-    HDB_ASSIGN_OR_RETURN(const MatRow* r, NextRow(&current_));
-    if (r == nullptr) return false;
-    for (size_t q = 0; q < ctx->rows.size(); ++q) ctx->rows[q] = nullptr;
-    for (size_t k = 0; k < quants_.size(); ++k) {
-      ctx->rows[quants_[k]] = &r->slots[k];
-    }
-    if (r->has_group) ctx->rows[ec_->num_quantifiers] = &r->group_row;
-    return true;
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
@@ -2813,7 +2512,6 @@ class SortOp : public Operator, public MemoryConsumer {
   std::unique_ptr<RowBatch> child_batch_;
   std::vector<Value> keys_;
   std::vector<Value> flat_;
-  MatRow current_;
   std::vector<MatRow> emit_buf_;
   std::vector<const table::Row**> slot_cols_;
 
@@ -2826,20 +2524,42 @@ class SortOp : public Operator, public MemoryConsumer {
 };
 
 // ---------------------------------------------------------------------------
-// EXPLAIN ANALYZE instrumentation
+// EXPLAIN ANALYZE instrumentation and statement-trace spans
 // ---------------------------------------------------------------------------
 
-/// Decorator measuring one operator for EXPLAIN ANALYZE. Wall time is
-/// inclusive of children (which are themselves wrapped, so self time can
-/// be derived by subtraction); memory is the high-water mark of the
-/// wrapped operator's MemoryBytes(), sampled after Open and each Next.
-class InstrumentedOp : public Operator {
+/// Decorator observing one operator, installed only when some observer is
+/// on. Under EXPLAIN ANALYZE (`actuals` non-null) it fills the plan node's
+/// actuals: wall time inclusive of children (which are themselves wrapped,
+/// so self time can be derived by subtraction), statement-trace wait
+/// deltas, selected rows and batch pulls, and the high-water mark of the
+/// wrapped operator's MemoryBytes(), sampled after Open and each
+/// NextBatch. With a `span_name` (blocking operators, when the building
+/// thread carries a statement trace) it brackets the operator's lifetime
+/// with a span: opened before Open(), closed after Close() so child
+/// operator spans nest inside and the span bookkeeping stays out of the
+/// measured wall time.
+class ObservedOp : public Operator {
  public:
-  InstrumentedOp(const PlanNode* plan, std::unique_ptr<Operator> inner,
-                 ExecContext* ec)
-      : plan_(plan), inner_(std::move(inner)), ec_(ec) {}
+  ObservedOp(const PlanNode* plan, std::unique_ptr<Operator> inner,
+             optimizer::OpActualsMap* actuals, obs::StatementTrace* trace,
+             const char* span_name)
+      : plan_(plan), inner_(std::move(inner)), actuals_(actuals),
+        trace_(trace), span_name_(span_name) {}
+
+  ~ObservedOp() override {
+    // Error paths can skip Close(); the span must not dangle past the
+    // operator tree.
+    if (span_id_ != 0) trace_->CloseSpan(span_id_);
+  }
 
   Status Open() override {
+    if (span_name_ != nullptr) {
+      // NL-join inner sides re-open per outer row: each rebuild gets its
+      // own span (capped by the trace's span budget).
+      if (span_id_ != 0) trace_->CloseSpan(span_id_);
+      span_id_ = trace_->OpenSpan(span_name_);
+    }
+    if (actuals_ == nullptr) return inner_->Open();
     const auto t0 = std::chrono::steady_clock::now();
     const obs::WaitBreakdown w0 = obs::CurrentWaitBreakdown();
     const Status s = inner_->Open();
@@ -2848,38 +2568,35 @@ class InstrumentedOp : public Operator {
     return s;
   }
 
-  Result<bool> Next(RowContext* ctx) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    const obs::WaitBreakdown w0 = obs::CurrentWaitBreakdown();
-    Result<bool> r = inner_->Next(ctx);
-    optimizer::OpActuals& a = Sample(t0, w0);
-    a.invocations++;
-    if (r.ok() && *r) a.rows++;
-    return r;
-  }
-
   Result<bool> NextBatch(RowBatch* batch) override {
+    if (actuals_ == nullptr) return inner_->NextBatch(batch);
     const auto t0 = std::chrono::steady_clock::now();
     const obs::WaitBreakdown w0 = obs::CurrentWaitBreakdown();
     Result<bool> r = inner_->NextBatch(batch);
     optimizer::OpActuals& a = Sample(t0, w0);
     a.invocations++;
     a.batches++;
-    // Under batching, actual rows are the *selected* rows the operator
-    // produced — not the number of NextBatch pulls (DESIGN.md §6).
+    // Actual rows are the *selected* rows the operator produced — not
+    // the number of NextBatch pulls (DESIGN.md §6).
     if (r.ok() && *r) a.rows += batch->ActiveCount();
     return r;
   }
 
   void Close() override {
-    optimizer::OpActuals& a = (*ec_->actuals)[plan_];
-    a.peak_memory_bytes = std::max(a.peak_memory_bytes, inner_->MemoryBytes());
-    a.spilled_bytes = inner_->SpilledBytes();
-    a.spilled_tuples = inner_->SpilledTuples();
+    if (actuals_ != nullptr) {
+      optimizer::OpActuals& a = (*actuals_)[plan_];
+      a.peak_memory_bytes =
+          std::max(a.peak_memory_bytes, inner_->MemoryBytes());
+      a.spilled_bytes = inner_->SpilledBytes();
+      a.spilled_tuples = inner_->SpilledTuples();
+    }
     inner_->Close();
+    if (span_id_ != 0) {
+      trace_->CloseSpan(span_id_);
+      span_id_ = 0;
+    }
   }
 
-  bool ProducesOutput() const override { return inner_->ProducesOutput(); }
   uint64_t MemoryBytes() const override { return inner_->MemoryBytes(); }
   uint64_t SpilledBytes() const override { return inner_->SpilledBytes(); }
   uint64_t SpilledTuples() const override { return inner_->SpilledTuples(); }
@@ -2887,7 +2604,7 @@ class InstrumentedOp : public Operator {
  private:
   optimizer::OpActuals& Sample(std::chrono::steady_clock::time_point started,
                                const obs::WaitBreakdown& before) {
-    optimizer::OpActuals& a = (*ec_->actuals)[plan_];
+    optimizer::OpActuals& a = (*actuals_)[plan_];
     a.wall_micros += std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - started)
                          .count();
@@ -2907,57 +2624,27 @@ class InstrumentedOp : public Operator {
 
   const PlanNode* plan_;
   std::unique_ptr<Operator> inner_;
-  ExecContext* ec_;
-};
-
-/// Decorator bracketing a blocking (materializing) operator with a span on
-/// the statement's trace: opened at Open(), closed after Close() so child
-/// operator spans nest inside. Installed only when the building thread
-/// carries a statement trace.
-class SpanOp : public Operator {
- public:
-  SpanOp(const char* span_name, std::unique_ptr<Operator> inner,
-         obs::StatementTrace* trace)
-      : span_name_(span_name), inner_(std::move(inner)), trace_(trace) {}
-
-  ~SpanOp() override {
-    // Error paths can skip Close(); the span must not dangle past the
-    // operator tree.
-    if (span_id_ != 0) trace_->CloseSpan(span_id_);
-  }
-
-  Status Open() override {
-    // NL-join inner sides re-open per outer row: each rebuild gets its
-    // own span (capped by the trace's span budget).
-    if (span_id_ != 0) trace_->CloseSpan(span_id_);
-    span_id_ = trace_->OpenSpan(span_name_);
-    return inner_->Open();
-  }
-
-  Result<bool> Next(RowContext* ctx) override { return inner_->Next(ctx); }
-  Result<bool> NextBatch(RowBatch* batch) override {
-    return inner_->NextBatch(batch);
-  }
-
-  void Close() override {
-    inner_->Close();
-    if (span_id_ != 0) {
-      trace_->CloseSpan(span_id_);
-      span_id_ = 0;
-    }
-  }
-
-  bool ProducesOutput() const override { return inner_->ProducesOutput(); }
-  uint64_t MemoryBytes() const override { return inner_->MemoryBytes(); }
-  uint64_t SpilledBytes() const override { return inner_->SpilledBytes(); }
-  uint64_t SpilledTuples() const override { return inner_->SpilledTuples(); }
-
- private:
-  const char* span_name_;
-  std::unique_ptr<Operator> inner_;
+  optimizer::OpActualsMap* actuals_;
   obs::StatementTrace* trace_;
+  const char* span_name_;
   uint32_t span_id_ = 0;
 };
+
+/// Span name for a blocking (materializing) operator, or nullptr.
+const char* BlockingSpanName(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kHashJoin:
+      return obs::kSpanOpHashJoin;
+    case PlanKind::kSort:
+      return obs::kSpanOpSort;
+    case PlanKind::kHashGroupBy:
+      return obs::kSpanOpHashGroupBy;
+    case PlanKind::kHashDistinct:
+      return obs::kSpanOpHashDistinct;
+    default:
+      return nullptr;
+  }
+}
 
 Result<std::unique_ptr<Operator>> BuildExecutorNode(const PlanNode* plan,
                                                     ExecContext* ctx);
@@ -2968,46 +2655,37 @@ Result<std::unique_ptr<Operator>> BuildExecutorNode(const PlanNode* plan,
 // Plan compilation
 // ---------------------------------------------------------------------------
 
+bool PlanProducesOutput(const PlanNode* plan) {
+  switch (plan->kind) {
+    case PlanKind::kProject:
+    case PlanKind::kHashDistinct:
+      return true;
+    case PlanKind::kFilter:
+    case PlanKind::kLimit:
+      return !plan->children.empty() &&
+             PlanProducesOutput(plan->children[0].get());
+    default:
+      // Sort and the joins/scans carry bare quantifier slots; result fetch
+      // flattens them, so every column must be materialized.
+      return false;
+  }
+}
+
 Result<std::unique_ptr<Operator>> BuildExecutor(const PlanNode* plan,
                                                 ExecContext* ctx) {
   HDB_ASSIGN_OR_RETURN(auto op, BuildExecutorNode(plan, ctx));
-  if (ctx->actuals != nullptr) {
-    op = std::unique_ptr<Operator>(new InstrumentedOp(plan, std::move(op), ctx));
-  }
-  if (obs::StatementTrace* trace = obs::CurrentStatementTrace();
-      trace != nullptr) {
-    // Blocking operators get lifetime spans on the statement trace; SpanOp
-    // wraps outermost so its bookkeeping stays out of the EXPLAIN ANALYZE
-    // wall time.
-    const char* span_name = nullptr;
-    switch (plan->kind) {
-      case PlanKind::kHashJoin:
-        span_name = obs::kSpanOpHashJoin;
-        break;
-      case PlanKind::kSort:
-        span_name = obs::kSpanOpSort;
-        break;
-      case PlanKind::kHashGroupBy:
-        span_name = obs::kSpanOpHashGroupBy;
-        break;
-      case PlanKind::kHashDistinct:
-        span_name = obs::kSpanOpHashDistinct;
-        break;
-      default:
-        break;
-    }
-    if (span_name != nullptr) {
-      op = std::unique_ptr<Operator>(
-          new SpanOp(span_name, std::move(op), trace));
-    }
-  }
-  return op;
+  obs::StatementTrace* trace = obs::CurrentStatementTrace();
+  const char* span_name =
+      trace != nullptr ? BlockingSpanName(plan->kind) : nullptr;
+  if (ctx->actuals == nullptr && span_name == nullptr) return op;
+  return std::unique_ptr<Operator>(
+      new ObservedOp(plan, std::move(op), ctx->actuals, trace, span_name));
 }
 
 namespace {
 
-// Children are built through BuildExecutor so each level gets wrapped
-// when EXPLAIN ANALYZE instrumentation is on.
+// Children are built through BuildExecutor so each level gets observed
+// when EXPLAIN ANALYZE instrumentation or statement tracing is on.
 Result<std::unique_ptr<Operator>> BuildExecutorNode(const PlanNode* plan,
                                                     ExecContext* ctx) {
   // Intra-query parallelism (paper §4.4, DESIGN.md §13): for nodes the
@@ -3067,7 +2745,7 @@ Result<std::unique_ptr<Operator>> BuildExecutorNode(const PlanNode* plan,
       HDB_ASSIGN_OR_RETURN(auto inner,
                            BuildExecutor(plan->children[1].get(), ctx));
       return std::unique_ptr<Operator>(
-          new NLJoinOp(plan, std::move(outer), std::move(inner)));
+          new NLJoinOp(plan, std::move(outer), std::move(inner), ctx));
     }
     case PlanKind::kIndexNLJoin: {
       if (plan->index_is_virtual) {
@@ -3110,7 +2788,8 @@ Result<std::vector<std::vector<Value>>> ExecuteToRows(const PlanNode* plan,
   // never flattens raw slots), collect which columns of each quantifier
   // the plan references; scans skip decoding the rest.
   ctx->scan_masks.clear();
-  if (PlanProducesOutput(plan)) {
+  const bool projected = PlanProducesOutput(plan);
+  if (projected) {
     ctx->scan_masks.resize(ctx->num_quantifiers + 1);
     CollectPlanColumnMasks(plan, &ctx->scan_masks);
   }
@@ -3123,7 +2802,6 @@ Result<std::vector<std::vector<Value>>> ExecuteToRows(const PlanNode* plan,
                  ctx->params);
   HDB_RETURN_IF_ERROR(op->Open());
   std::vector<std::vector<Value>> out;
-  const bool projected = op->ProducesOutput();
   for (;;) {
     HDB_ASSIGN_OR_RETURN(const bool more, op->NextBatch(&batch));
     if (!more) break;

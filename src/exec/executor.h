@@ -112,30 +112,21 @@ struct ExecContext {
   RuntimeStats stats;
 };
 
-/// Physical operator with two pull interfaces. The native one is
-/// NextBatch(): fill a RowBatch with up to capacity() rows. Next() is the
-/// legacy row-at-a-time protocol, kept for operators that are inherently
-/// row-oriented (nested-loop joins) and for incremental migration;
-/// the base class bridges the two directions:
-///   * a row-native operator inherits the default NextBatch(), which
-///     pulls Next() into the batch via RowBatch::CaptureRow;
-///   * a batch-native operator keeps its row-at-a-time Next() as well, so
-///     row-driven parents (nested-loop joins) still compose with it.
-/// Either way, Next() binds quantifier slots in the shared RowContext
-/// (and, for Project and above, fills ctx->output), and NextBatch()
-/// returns false only at end of stream — a true return with
-/// ActiveCount()==0 just means every row of the batch was filtered.
+/// Physical operator with one pull method (DESIGN.md §9): NextBatch()
+/// resets the caller's RowBatch and fills it with up to capacity() rows.
+/// Every operator binds the quantifier slots it produces (joins stamp
+/// their outer rows' slots beside the inner ones); Project, and Distinct
+/// and Limit above it, also fill the batch's output column — whether a
+/// plan's root delivers that column is PlanProducesOutput(). NextBatch()
+/// returns false only at end of stream; a true return with
+/// ActiveCount()==0 just means every row of the batch was filtered. Slot
+/// pointers stay valid until the operator's next NextBatch() or Close().
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
-  virtual Result<bool> Next(optimizer::RowContext* ctx) = 0;
-  /// Resets and fills `batch`. Default: row→batch adapter over Next().
-  virtual Result<bool> NextBatch(RowBatch* batch);
+  virtual Result<bool> NextBatch(RowBatch* batch) = 0;
   virtual void Close() = 0;
-  /// True when this operator (or its pass-through chain) fills
-  /// ctx->output rather than just quantifier slots.
-  virtual bool ProducesOutput() const { return false; }
   /// Bytes of working memory currently held (hash build sides, group
   /// tables, sort buffers). Sampled by EXPLAIN ANALYZE for the peak.
   virtual uint64_t MemoryBytes() const { return 0; }
@@ -143,11 +134,12 @@ class Operator {
   /// SpillFiles). Sampled by EXPLAIN ANALYZE for the `spilled=` actuals.
   virtual uint64_t SpilledBytes() const { return 0; }
   virtual uint64_t SpilledTuples() const { return 0; }
-
- private:
-  // Scratch state of the default row→batch adapter.
-  optimizer::RowContext adapter_ctx_;
 };
+
+/// True when the plan's root chain (Project or HashDistinct, under any
+/// Filter/Limit) delivers projected rows in the batch output column
+/// rather than bare quantifier slots.
+bool PlanProducesOutput(const optimizer::PlanNode* plan);
 
 /// Compiles a physical plan into an operator tree.
 Result<std::unique_ptr<Operator>> BuildExecutor(

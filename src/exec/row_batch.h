@@ -53,8 +53,8 @@ class RowBatch {
     return params_;
   }
 
-  /// Empties the batch for refill. Pointer columns, owned rows, and the
-  /// output column keep their storage (that reuse is the point).
+  /// Empties the batch for refill. Pointer columns and the output column
+  /// keep their storage (that reuse is the point).
   void Reset() {
     size_ = 0;
     sel_size_ = 0;
@@ -108,23 +108,6 @@ class RowBatch {
   /// fetch moves rows out; the slot refills next batch).
   table::Row* MutableOutput(size_t pos) { return &output_[pos]; }
 
-  /// Copies the bound slots of `ctx` (and, if `with_output`, ctx->output)
-  /// into owned storage at `pos` — the row→batch default adapter. Copy
-  /// assignment reuses the owned Values' string capacity.
-  void CaptureRow(size_t pos, const optimizer::RowContext& ctx,
-                  bool with_output) {
-    if (owned_.size() < cols_.size()) owned_.resize(cols_.size());
-    const size_t limit = std::min(cols_.size(), ctx.rows.size());
-    for (size_t s = 0; s < limit; ++s) {
-      const table::Row* src = ctx.rows[s];
-      if (src == nullptr) continue;
-      if (owned_[s].size() < cap_) owned_[s].resize(cap_);
-      owned_[s][pos] = *src;
-      BindSlot(s)[pos] = &owned_[s][pos];
-    }
-    if (with_output) *OutputRow(pos) = ctx.output;
-  }
-
   /// Copies this batch's bound slot pointers at `from_pos` into `to` at
   /// `to_pos` (joins carry the outer side into the result batch). The
   /// pointers stay valid as long as this batch is not refilled.
@@ -158,14 +141,11 @@ class RowBatch {
   // --- Consumer side ---
 
   /// Binds the bound slots at `pos` into `ctx` (pointer stores); leaves
-  /// other slots untouched so sibling subtrees' bindings survive. With
-  /// `with_output`, also copies the output row into ctx->output.
-  void BindRow(size_t pos, optimizer::RowContext* ctx,
-               bool with_output = false) const {
+  /// other slots untouched so sibling subtrees' bindings survive.
+  void BindRow(size_t pos, optimizer::RowContext* ctx) const {
     for (const uint16_t s : bound_list_) {
       ctx->rows[s] = cols_[s][pos];
     }
-    if (with_output && has_output_) ctx->output = output_[pos];
   }
 
   /// Read-only pointer column for slot `s`, or nullptr when the slot is
@@ -182,7 +162,6 @@ class RowBatch {
   std::vector<std::vector<const table::Row*>> cols_;  // [slot][pos]
   std::vector<uint8_t> bound_;       // per-slot "bound this batch" flag
   std::vector<uint16_t> bound_list_;
-  std::vector<std::vector<table::Row>> owned_;  // CaptureRow storage
   std::vector<table::Row> output_;
   std::vector<uint16_t> sel_;
   size_t size_ = 0;

@@ -384,26 +384,28 @@ void Server::AcceptPending() {
       // Refuse with a structured overload frame rather than a silent
       // close — the client sees *why* and backs off (acceptance: no hung
       // sockets under overload). Best-effort write; the frame is tiny.
+      // Counted before the write: a client that reads the frame may
+      // check the counter straight away.
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      Bump(counters_.rejected);
       std::string out;
       AppendOverloadedFrame(&out, options_.session.overload_retry_ms,
                             "server at max_connections");
       [[maybe_unused]] ssize_t w = write(fd, out.data(), out.size());
       close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      Bump(counters_.rejected);
       continue;
     }
 
     Result<std::unique_ptr<Session>> session =
         Session::Create(db_, peer, options_.session, session_counters_);
     if (!session.ok()) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      Bump(counters_.rejected);
       std::string out;
       AppendErrorFrame(&out, session.status().code(),
                        session.status().message());
       [[maybe_unused]] ssize_t w = write(fd, out.data(), out.size());
       close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      Bump(counters_.rejected);
       continue;
     }
 

@@ -36,9 +36,6 @@ using ExprPtr = std::shared_ptr<Expr>;
 struct RowContext {
   /// rows[q] may be null while q is not yet bound (e.g. probing).
   std::vector<const std::vector<Value>*> rows;
-  /// Final projected row, produced by the Project operator and consumed by
-  /// operators above it (Distinct, Limit) and by result fetch.
-  std::vector<Value> output;
   /// Procedure parameter bindings (kParam lookup). Plans for statements
   /// inside procedures keep parameters symbolic so one cached plan serves
   /// every invocation (paper §4.1); values bind here at execution.

@@ -55,6 +55,12 @@ const char* kCorpus[] = {
     "SELECT a, g FROM t WHERE b IS NOT NULL ORDER BY g DESC, s LIMIT 100",
     "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g ORDER BY g DESC LIMIT 5",
     "SELECT DISTINCT g FROM t ORDER BY g LIMIT 5",
+    // Nested-loop joins whose outer side is itself a join (several outer
+    // slots stamped per inner row), and a nested-loop join under GROUP BY.
+    "SELECT t.a, d.id, e.x FROM t JOIN d ON t.j = d.id "
+    "JOIN e ON d.w < e.y WHERE t.a < 40",
+    "SELECT t.g, COUNT(*), MAX(d.w) FROM t JOIN d ON t.a < d.id "
+    "WHERE t.a BETWEEN 10 AND 40 GROUP BY t.g",
 };
 
 std::unique_ptr<engine::Database> MakeDb(size_t batch_cap,
@@ -98,6 +104,15 @@ std::unique_ptr<engine::Database> MakeDb(size_t batch_cap,
                     Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
   }
   EXPECT_TRUE((*db)->LoadTable("d", rows).ok());
+  // Loaded after d, so t and d stay byte-identical to earlier corpora.
+  st = (*conn)->Execute("CREATE TABLE e (x INT NOT NULL, y INT NOT NULL)");
+  EXPECT_TRUE(st.ok());
+  rows.clear();
+  for (int i = 0; i < 24; ++i) {
+    rows.push_back({Value::Int(i),
+                    Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
+  }
+  EXPECT_TRUE((*db)->LoadTable("e", rows).ok());
   st = (*conn)->Execute("CREATE INDEX t_a ON t (a)");
   EXPECT_TRUE(st.ok());
   return std::move(*db);

@@ -439,6 +439,28 @@ TEST(EngineTest, ProcedureDmlWithParams) {
   EXPECT_EQ(db.Exec("SELECT COUNT(*) FROM t").rows[0][0].AsInt(), 2);
 }
 
+// Procedure DML substitutes whole :name tokens only: a parameter that
+// prefixes a longer one (:a, :ab) leaves the longer one intact, and ':a'
+// inside a string literal stays text.
+TEST(EngineTest, ProcedureDmlSubstitutesWholeParamTokensOnly) {
+  Db db;
+  db.Exec("CREATE TABLE t (a INT, ab INT, s VARCHAR(8))");
+  db.Exec("CREATE PROCEDURE ins (:a, :ab) AS "
+          "INSERT INTO t VALUES (:a, :ab, ':a')");
+  db.Exec("CALL ins(1, 2)");
+  db.Exec("CREATE PROCEDURE ins_one (:a) AS "
+          "INSERT INTO t VALUES (:a, 0, ':a')");
+  db.Exec("CALL ins_one(7)");
+  auto r = db.Exec("SELECT a, ab, s FROM t ORDER BY a");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(r.rows[0][1].AsInt(), 2);
+  EXPECT_EQ(r.rows[0][2].AsString(), ":a");
+  EXPECT_EQ(r.rows[1][0].AsInt(), 7);
+  EXPECT_EQ(r.rows[1][1].AsInt(), 0);
+  EXPECT_EQ(r.rows[1][2].AsString(), ":a");
+}
+
 TEST(EngineTest, AdHocStatementsReOptimizeEveryTime) {
   Db db;
   db.Exec("CREATE TABLE t (k INT)");

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
 
 #include "catalog/catalog.h"
+#include "engine/database.h"
 #include "exec/agg.h"
+#include "exec/executor.h"
 #include "exec/memory_governor.h"
 #include "exec/morsel.h"
 #include "exec/mpl_controller.h"
@@ -449,6 +452,112 @@ TEST(RecursiveUnionTest, AdaptiveSwitchesStrategiesAcrossIterations) {
   std::set<RecursiveStrategy> used;
   for (const auto& info : ru.iterations()) used.insert(info.used);
   EXPECT_EQ(used.size(), 2u) << "expected both strategies across iterations";
+}
+
+// --- Hash join alternate index-NL strategy (paper §4.3) ---
+
+// The plan bench/adaptive_hash_join builds: `big` (3000 rows, k = i % 1000,
+// v = i, indexed on k) probes a hash table built from `tiny`, annotated
+// with the alternate strategy over big's index. The build side holds
+// duplicate keys, a key with no match and a NULL key; big's scan carries
+// a residual and the join an extra condition comparing both sides.
+class HashJoinAlternateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto db = engine::Database::Open();
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto conn = db_->Connect();
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(
+        (*conn)->Execute("CREATE TABLE big (k INT NOT NULL, v INT)").ok());
+    ASSERT_TRUE((*conn)->Execute("CREATE TABLE tiny (k INT, w INT)").ok());
+    std::vector<table::Row> rows;
+    for (int i = 0; i < 3000; ++i) {
+      rows.push_back({Value::Int(i % 1000), Value::Int(i)});
+    }
+    ASSERT_TRUE(db_->LoadTable("big", rows).ok());
+    ASSERT_TRUE((*conn)->Execute("CREATE INDEX big_k ON big (k)").ok());
+    rows = {{Value::Int(3), Value::Int(0)},
+            {Value::Int(3), Value::Int(2500)},  // extra condition fails
+            {Value::Int(7), Value::Int(10)},
+            {Value::Int(500), Value::Int(0)},
+            {Value::Int(999999), Value::Int(0)},  // no match
+            {Value::Null(TypeId::kInt), Value::Int(5)}};
+    ASSERT_TRUE(db_->LoadTable("tiny", rows).ok());
+  }
+
+  std::unique_ptr<optimizer::PlanNode> MakePlan(bool alternate) {
+    using optimizer::CompareOp;
+    using optimizer::Expr;
+    auto plan = std::make_unique<optimizer::PlanNode>();
+    plan->kind = optimizer::PlanKind::kHashJoin;
+    plan->outer_key = Expr::Column(0, 0, TypeId::kInt, "big.k");
+    plan->inner_key = Expr::Column(1, 0, TypeId::kInt, "tiny.k");
+    plan->extra_condition =
+        Expr::Compare(CompareOp::kGt, Expr::Column(0, 1, TypeId::kInt, "big.v"),
+                      Expr::Column(1, 1, TypeId::kInt, "tiny.w"));
+    plan->alt_index_nl = alternate;
+    plan->alt_index = *db_->catalog().GetIndex("big_k");
+    plan->alt_switch_threshold_rows = 200;
+    auto outer = std::make_unique<optimizer::PlanNode>();
+    outer->kind = optimizer::PlanKind::kSeqScan;
+    outer->quantifier = 0;
+    outer->table = *db_->catalog().GetTable("big");
+    outer->residual =
+        Expr::Compare(CompareOp::kNe, Expr::Column(0, 1, TypeId::kInt, "big.v"),
+                      Expr::Literal(Value::Int(1003)));
+    auto inner = std::make_unique<optimizer::PlanNode>();
+    inner->kind = optimizer::PlanKind::kSeqScan;
+    inner->quantifier = 1;
+    inner->table = *db_->catalog().GetTable("tiny");
+    plan->children.push_back(std::move(outer));
+    plan->children.push_back(std::move(inner));
+    return plan;
+  }
+
+  /// Runs the plan at `batch_cap`; returns its rows rendered and sorted
+  /// (the two strategies emit in different orders).
+  std::vector<std::string> Run(const optimizer::PlanNode* plan,
+                               size_t batch_cap, bool* switched) {
+    ExecContext ec;
+    ec.pool = &db_->pool();
+    ec.table_heap = [this](uint32_t oid) { return db_->heap(oid); };
+    ec.index = [this](uint32_t oid) { return db_->btree(oid); };
+    ec.num_quantifiers = 2;
+    ec.batch_cap = batch_cap;
+    auto rows = ExecuteToRows(plan, &ec);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    *switched = ec.stats.hash_join_used_alternate;
+    std::vector<std::string> out;
+    if (!rows.ok()) return out;
+    for (const auto& row : *rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.push_back(std::move(line));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::unique_ptr<engine::Database> db_;
+};
+
+TEST_F(HashJoinAlternateTest, SwitchesAndMatchesHashStrategy) {
+  const auto alt_plan = MakePlan(/*alternate=*/true);
+  const auto hash_plan = MakePlan(/*alternate=*/false);
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    bool alt_switched = false;
+    bool hash_switched = true;
+    const auto alt = Run(alt_plan.get(), cap, &alt_switched);
+    const auto hash = Run(hash_plan.get(), cap, &hash_switched);
+    EXPECT_TRUE(alt_switched) << "cap " << cap;
+    EXPECT_FALSE(hash_switched) << "cap " << cap;
+    // k=3/w=0: v 3 and 2003 (1003 fails the residual); k=3/w=2500: none;
+    // k=7/w=10: v 1007, 2007; k=500/w=0: v 500, 1500, 2500.
+    EXPECT_EQ(alt.size(), 7u) << "cap " << cap;
+    EXPECT_EQ(alt, hash) << "cap " << cap;
+  }
 }
 
 // --- MPL controller (§6 extension) ---
