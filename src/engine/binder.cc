@@ -57,6 +57,23 @@ Result<Value> CoerceValue(const Value& v, TypeId target) {
                                  std::string(TypeName(target)));
 }
 
+Result<Value> ParamValue(const AstExpr& placeholder,
+                         const optimizer::ParamBindings* params) {
+  if (params != nullptr) {
+    if (placeholder.ordinal < 0) {
+      for (const auto& [name, value] : *params) {
+        if (name == placeholder.column) return value;
+      }
+    } else if (static_cast<size_t>(placeholder.ordinal) < params->size()) {
+      return (*params)[placeholder.ordinal].second;
+    }
+  }
+  return Status::InvalidArgument(
+      placeholder.ordinal < 0
+          ? "unbound parameter :" + placeholder.column
+          : "unbound parameter ?" + std::to_string(placeholder.ordinal + 1));
+}
+
 Result<ExprPtr> Binder::ResolveColumn(const AstExpr& ast,
                                       const Scope& scope) {
   int found_q = -1, found_c = -1;
@@ -89,8 +106,13 @@ Result<ExprPtr> Binder::BindExpr(const AstExprPtr& ast, const Scope& scope,
   switch (ast->kind) {
     case AstExpr::kLiteral:
       return Expr::Literal(ast->literal);
-    case AstExpr::kParam:
-      return Expr::Param(ast->column);
+    case AstExpr::kParam: {
+      if (params_ == nullptr && ast->ordinal < 0) {
+        return Expr::Param(ast->column);
+      }
+      HDB_ASSIGN_OR_RETURN(Value v, ParamValue(*ast, params_));
+      return Expr::Literal(std::move(v));
+    }
     case AstExpr::kColumn:
       return ResolveColumn(*ast, scope);
     case AstExpr::kCompare: {

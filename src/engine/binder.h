@@ -32,13 +32,25 @@ struct BoundDelete {
 /// into an INT column). Returns InvalidArgument on impossible coercions.
 Result<Value> CoerceValue(const Value& v, TypeId target);
 
+/// The value bound to one placeholder node (`?` by position, `:name` by
+/// name); InvalidArgument when `params` holds none for it.
+Result<Value> ParamValue(const AstExpr& placeholder,
+                         const optimizer::ParamBindings* params);
+
 /// Name resolution and semantic analysis: parse trees in, optimizer
 /// Queries out. When the query groups, select/having/order expressions are
 /// rewritten over the grouped-output pseudo-quantifier (see
 /// optimizer/query.h).
+///
+/// With `params`, every placeholder folds to its value as a literal, so the
+/// optimizer sees real constants (paper §3). Without, `:name` placeholders
+/// stay symbolic for a cached procedure plan (§4.1) and bind at execution
+/// through RowContext::params.
 class Binder {
  public:
-  explicit Binder(catalog::Catalog* catalog) : catalog_(catalog) {}
+  explicit Binder(catalog::Catalog* catalog,
+                  const optimizer::ParamBindings* params = nullptr)
+      : catalog_(catalog), params_(params) {}
 
   Result<optimizer::Query> BindSelect(const SelectAst& ast);
   Result<BoundInsert> BindInsert(const InsertAst& ast);
@@ -61,6 +73,7 @@ class Binder {
       int group_quantifier);
 
   catalog::Catalog* catalog_;
+  const optimizer::ParamBindings* params_;
 };
 
 }  // namespace hdb::engine

@@ -60,34 +60,11 @@ double WallMicros() {
           .count());
 }
 
-uint64_t HashParams(const std::vector<Value>& args) {
+uint64_t HashParams(const optimizer::ParamBindings& params) {
   uint64_t h = 1469598103934665603ull;
-  for (const Value& v : args) h = h * 1099511628211ull ^ v.Hash();
+  for (const auto& [name, v] : params) h = h * 1099511628211ull ^ v.Hash();
   return h;
 }
-
-/// Renders a value as a SQL literal (procedure DML substitution).
-std::string ToSqlLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  if (v.type() == TypeId::kVarchar) {
-    std::string out = "'";
-    for (const char c : v.AsString()) {
-      out += c;
-      if (c == '\'') out += '\'';
-    }
-    out += "'";
-    return out;
-  }
-  if (v.type() == TypeId::kBoolean) return v.AsBool() ? "TRUE" : "FALSE";
-  return v.ToString();
-}
-
-/// RAII statement-nesting counter (see Connection::exec_depth_).
-struct DepthGuard {
-  explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
-  ~DepthGuard() { --*depth_; }
-  int* depth_;
-};
 
 }  // namespace
 
@@ -1192,10 +1169,15 @@ Result<std::vector<std::pair<Rid, table::Row>>> Connection::CollectDmlVictims(
 }
 
 Result<QueryResult> Connection::ExecuteSelect(
-    const SelectAst& ast,
-    const std::vector<std::pair<std::string, Value>>* params,
+    const SelectAst& ast, const optimizer::ParamBindings& params,
     const std::string& cache_key, QueryResult* out) {
-  Binder binder(&db_->catalog());
+  // The one place a placeholder may stay symbolic: a procedure SELECT that
+  // owns a plan-cache key keeps its :names in the plan, so one cached plan
+  // serves every invocation (paper §4.1), and binds them per execution
+  // through RowContext::params. Everything else folds the values in as
+  // literals and is optimized with the real constants (§3).
+  const bool symbolic = !cache_key.empty();
+  Binder binder(&db_->catalog(), symbolic ? nullptr : &params);
   HDB_ASSIGN_OR_RETURN(optimizer::Query q, binder.BindSelect(ast));
 
   auto task = db_->memory_governor().BeginTask();
@@ -1250,7 +1232,7 @@ Result<QueryResult> Connection::ExecuteSelect(
       db_->options().auto_feedback && !any_virtual ? &feedback : nullptr;
   ec.memory = task.get();
   ec.num_quantifiers = q.quantifiers.size();
-  ec.params = params;
+  ec.params = symbolic ? &params : nullptr;
   ec.batch_cap = db_->options().exec_batch_cap;
   if (db_->options().parallel.max_workers > 1) {
     ec.parallel = &db_->parallel_governor();
@@ -1301,9 +1283,10 @@ Result<QueryResult> Connection::ExecuteSelect(
   return std::move(*out);
 }
 
-Result<QueryResult> Connection::ExecuteExplainAnalyze(const SelectAst& ast,
-                                                      QueryResult* out) {
-  Binder binder(&db_->catalog());
+Result<QueryResult> Connection::ExecuteExplainAnalyze(
+    const SelectAst& ast, const optimizer::ParamBindings& params,
+    QueryResult* out) {
+  Binder binder(&db_->catalog(), &params);
   HDB_ASSIGN_OR_RETURN(optimizer::Query q, binder.BindSelect(ast));
 
   auto task = db_->memory_governor().BeginTask();
@@ -1349,8 +1332,9 @@ Result<QueryResult> Connection::ExecuteExplainAnalyze(const SelectAst& ast,
   return std::move(*out);
 }
 
-Result<QueryResult> Connection::ExecuteInsert(const InsertAst& ast) {
-  Binder binder(&db_->catalog());
+Result<QueryResult> Connection::ExecuteInsert(
+    const InsertAst& ast, const optimizer::ParamBindings& params) {
+  Binder binder(&db_->catalog(), &params);
   HDB_ASSIGN_OR_RETURN(BoundInsert bound, binder.BindInsert(ast));
   table::TableHeap* h = db_->heap(bound.table->oid);
 
@@ -1391,8 +1375,9 @@ Result<QueryResult> Connection::ExecuteInsert(const InsertAst& ast) {
   return out;
 }
 
-Result<QueryResult> Connection::ExecuteUpdate(const UpdateAst& ast) {
-  Binder binder(&db_->catalog());
+Result<QueryResult> Connection::ExecuteUpdate(
+    const UpdateAst& ast, const optimizer::ParamBindings& params) {
+  Binder binder(&db_->catalog(), &params);
   HDB_ASSIGN_OR_RETURN(BoundUpdate bound, binder.BindUpdate(ast));
   QueryResult out;
   HDB_ASSIGN_OR_RETURN(auto victims, CollectDmlVictims(bound.scan, &out.diag));
@@ -1470,8 +1455,9 @@ Result<QueryResult> Connection::ExecuteUpdate(const UpdateAst& ast) {
   return out;
 }
 
-Result<QueryResult> Connection::ExecuteDelete(const DeleteAst& ast) {
-  Binder binder(&db_->catalog());
+Result<QueryResult> Connection::ExecuteDelete(
+    const DeleteAst& ast, const optimizer::ParamBindings& params) {
+  Binder binder(&db_->catalog(), &params);
   HDB_ASSIGN_OR_RETURN(BoundDelete bound, binder.BindDelete(ast));
   QueryResult out;
   HDB_ASSIGN_OR_RETURN(auto victims, CollectDmlVictims(bound.scan, &out.diag));
@@ -1509,67 +1495,61 @@ Result<QueryResult> Connection::ExecuteDelete(const DeleteAst& ast) {
   return out;
 }
 
-Result<QueryResult> Connection::ExecuteCall(const CallAst& ast) {
+Result<QueryResult> Connection::ExecuteCall(
+    const CallAst& ast, const optimizer::ParamBindings& call_params) {
   HDB_ASSIGN_OR_RETURN(const catalog::ProcedureDef* proc,
                        db_->catalog().GetProcedure(ast.name));
   if (ast.args.size() != proc->param_names.size()) {
     return Status::InvalidArgument("procedure argument count mismatch");
   }
-  std::vector<std::pair<std::string, Value>> params;
+  // The body's :names take the CALL's values, literal or bound.
+  optimizer::ParamBindings params;
   for (size_t i = 0; i < ast.args.size(); ++i) {
-    params.emplace_back(proc->param_names[i], ast.args[i]);
+    const AstExpr& arg = *ast.args[i];
+    Value v = arg.literal;
+    if (arg.kind == AstExpr::kParam) {
+      HDB_ASSIGN_OR_RETURN(v, ParamValue(arg, &call_params));
+    }
+    params.emplace_back(proc->param_names[i], std::move(v));
   }
 
   const double start = WallMicros();
   QueryResult out;
   for (size_t s = 0; s < proc->statements.size(); ++s) {
-    const std::string& body = proc->statements[s];
-    HDB_ASSIGN_OR_RETURN(StatementAst stmt, Parse(body));
-    if (std::holds_alternative<SelectAst>(stmt)) {
+    HDB_ASSIGN_OR_RETURN(StatementAst stmt, Parse(proc->statements[s]));
+    if (const auto* sel = std::get_if<SelectAst>(&stmt)) {
       // Cache-eligible class: statements inside procedures (paper §4.1).
       const std::string key =
           "proc:" + proc->name + ":" + std::to_string(s);
       QueryResult r;
-      HDB_ASSIGN_OR_RETURN(
-          r, ExecuteSelect(std::get<SelectAst>(stmt), &params, key, &r));
-      out = std::move(r);
+      HDB_ASSIGN_OR_RETURN(out, ExecuteSelect(*sel, params, key, &r));
+    } else if (const auto* ins = std::get_if<InsertAst>(&stmt)) {
+      HDB_ASSIGN_OR_RETURN(out, ExecuteInsert(*ins, params));
+    } else if (const auto* up = std::get_if<UpdateAst>(&stmt)) {
+      HDB_ASSIGN_OR_RETURN(out, ExecuteUpdate(*up, params));
+    } else if (const auto* del = std::get_if<DeleteAst>(&stmt)) {
+      HDB_ASSIGN_OR_RETURN(out, ExecuteDelete(*del, params));
     } else {
-      // DML inside procedures: replace every :name parameter token with
-      // its value's literal and run. Working on lexer tokens means a
-      // parameter never matches the prefix of a longer name (:a in :ab)
-      // or text inside a string literal.
-      HDB_ASSIGN_OR_RETURN(const std::vector<Token> tokens, Lex(body));
-      std::string sql;
-      size_t copied = 0;
-      for (const Token& tok : tokens) {
-        if (tok.kind != TokenKind::kParam) continue;
-        const auto it = std::find_if(
-            params.begin(), params.end(),
-            [&tok](const auto& p) { return p.first == tok.text; });
-        if (it == params.end()) continue;
-        sql.append(body, copied, tok.pos - copied);
-        sql += ToSqlLiteral(it->second);
-        copied = tok.pos + tok.raw.size();
-      }
-      sql.append(body, copied, std::string::npos);
-      HDB_ASSIGN_OR_RETURN(out, Execute(sql));
+      return Status::InvalidArgument(
+          "procedure " + proc->name +
+          ": a body runs only SELECT, INSERT, UPDATE and DELETE");
     }
   }
   // Procedure invocation statistics: moving average + per-parameter
   // variants (paper §3.2).
-  db_->proc_stats().Record(proc->name, HashParams(ast.args),
+  db_->proc_stats().Record(proc->name, HashParams(params),
                            WallMicros() - start,
                            static_cast<double>(out.rows.size()));
   return out;
 }
 
-Result<QueryResult> Connection::Execute(const std::string& sql) {
-  // Statement lifecycle trace (DESIGN.md §11): one per top-level
-  // statement. Procedure-body recursion (exec_depth_ > 0) gets an empty
-  // handle, and the null-aware ScopedCurrentTrace leaves the outer
-  // statement's trace installed, so nested spans land in the outer tree.
+Result<QueryResult> Connection::Execute(const std::string& sql,
+                                        const std::vector<Value>& params) {
+  // Statement lifecycle trace (DESIGN.md §11): one per statement, unless
+  // the network front end installed its own (the null-aware
+  // ScopedCurrentTrace then leaves that one current).
   obs::StatementRegistry::Handle stmt_trace;
-  if (exec_depth_ == 0 && !external_trace_) {
+  if (!external_trace_) {
     stmt_trace =
         db_->statement_registry().Begin(conn_id_, NormalizeStatement(sql));
   }
@@ -1580,20 +1560,17 @@ Result<QueryResult> Connection::Execute(const std::string& sql) {
     obs::ScopedSpan parse_span(obs::kSpanParse);
     return Parse(sql);
   }();
-  if (exec_depth_ == 0) {
-    db_->parse_hist_->Record(
-        static_cast<uint64_t>(std::max(0.0, WallMicros() - parse_start)));
-  }
+  db_->parse_hist_->Record(
+      static_cast<uint64_t>(std::max(0.0, WallMicros() - parse_start)));
   if (!parsed.ok()) {
     db_->stmt_errors_->Add();
     stmt_trace.set_ok(false);
     return parsed.status();
   }
   StatementAst stmt = std::move(*parsed);
-
-  // Procedure-body recursion: the top-level statement already holds the
-  // DDL latch and the admission slot; just dispatch.
-  if (exec_depth_ > 0) return ExecuteParsed(stmt, sql);
+  optimizer::ParamBindings bindings;
+  bindings.reserve(params.size());
+  for (const Value& v : params) bindings.emplace_back(std::string(), v);
 
   // DDL runs exclusive against every other statement; queries, DML and
   // transaction control run shared. CALIBRATE rewrites the catalog's cost
@@ -1660,13 +1637,12 @@ Result<QueryResult> Connection::Execute(const std::string& sql) {
   const double exec_start = WallMicros();
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     obs::ScopedSpan execute_span(obs::kSpanExecute);
-    DepthGuard depth(&exec_depth_);
     if (is_ddl) {
       UniqueLock ddl(db_->ddl_mu_);
-      return ExecuteParsed(stmt, sql);
+      return ExecuteParsed(stmt, sql, bindings);
     }
     SharedLock ddl(db_->ddl_mu_);
-    return ExecuteParsed(stmt, sql);
+    return ExecuteParsed(stmt, sql, bindings);
   }();
   const double exec_micros = WallMicros() - exec_start;
   db_->execute_hist_->Record(
@@ -1694,22 +1670,26 @@ Result<QueryResult> Connection::Execute(const std::string& sql) {
   return result;
 }
 
-Result<QueryResult> Connection::ExecuteParsed(StatementAst& stmt,
-                                              const std::string& sql) {
+Result<QueryResult> Connection::ExecuteParsed(
+    StatementAst& stmt, const std::string& sql,
+    const optimizer::ParamBindings& params) {
   const double start = WallMicros();
   QueryResult out;
   TraceEvent ev;
   ev.sql = sql;
+  ev.params_hash = HashParams(params);
 
   if (std::holds_alternative<SelectAst>(stmt)) {
+    // Ad hoc statements pass no cache key: re-optimized every time (§4.1).
     HDB_ASSIGN_OR_RETURN(
-        out, ExecuteSelect(std::get<SelectAst>(stmt), nullptr, "", &out));
+        out, ExecuteSelect(std::get<SelectAst>(stmt), params, "", &out));
   } else if (std::holds_alternative<ExplainAst>(stmt)) {
     const auto& ex = std::get<ExplainAst>(stmt);
     if (ex.analyze) {
-      HDB_ASSIGN_OR_RETURN(out, ExecuteExplainAnalyze(*ex.select, &out));
+      HDB_ASSIGN_OR_RETURN(out,
+                           ExecuteExplainAnalyze(*ex.select, params, &out));
     } else {
-      Binder binder(&db_->catalog());
+      Binder binder(&db_->catalog(), &params);
       HDB_ASSIGN_OR_RETURN(optimizer::Query q, binder.BindSelect(*ex.select));
       optimizer::Optimizer opt(MakeOptimizerContext());
       HDB_ASSIGN_OR_RETURN(optimizer::PlanPtr plan,
@@ -1717,11 +1697,14 @@ Result<QueryResult> Connection::ExecuteParsed(StatementAst& stmt,
       out.explain = plan->Explain();
     }
   } else if (std::holds_alternative<InsertAst>(stmt)) {
-    HDB_ASSIGN_OR_RETURN(out, ExecuteInsert(std::get<InsertAst>(stmt)));
+    HDB_ASSIGN_OR_RETURN(out,
+                         ExecuteInsert(std::get<InsertAst>(stmt), params));
   } else if (std::holds_alternative<UpdateAst>(stmt)) {
-    HDB_ASSIGN_OR_RETURN(out, ExecuteUpdate(std::get<UpdateAst>(stmt)));
+    HDB_ASSIGN_OR_RETURN(out,
+                         ExecuteUpdate(std::get<UpdateAst>(stmt), params));
   } else if (std::holds_alternative<DeleteAst>(stmt)) {
-    HDB_ASSIGN_OR_RETURN(out, ExecuteDelete(std::get<DeleteAst>(stmt)));
+    HDB_ASSIGN_OR_RETURN(out,
+                         ExecuteDelete(std::get<DeleteAst>(stmt), params));
   } else if (std::holds_alternative<CreateTableAst>(stmt)) {
     HDB_RETURN_IF_ERROR(db_->CreateTableImpl(std::get<CreateTableAst>(stmt)));
   } else if (std::holds_alternative<CreateIndexAst>(stmt)) {
@@ -1752,7 +1735,7 @@ Result<QueryResult> Connection::ExecuteParsed(StatementAst& stmt,
                                     wal::EncodeDdlCreateProcedure(def)));
     HDB_RETURN_IF_ERROR(db_->catalog().CreateProcedure(std::move(def)));
   } else if (std::holds_alternative<CallAst>(stmt)) {
-    HDB_ASSIGN_OR_RETURN(out, ExecuteCall(std::get<CallAst>(stmt)));
+    HDB_ASSIGN_OR_RETURN(out, ExecuteCall(std::get<CallAst>(stmt), params));
     ev.from_procedure = true;
   } else if (std::holds_alternative<DropAst>(stmt)) {
     const auto& d = std::get<DropAst>(stmt);

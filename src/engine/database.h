@@ -117,6 +117,10 @@ struct TraceEvent {
   std::string plan_fingerprint;
   bool bypassed_optimizer = false;
   bool from_procedure = false;
+  /// Hash of the values bound to the statement's placeholders. Prepared
+  /// executions share one `sql` text, so (sql, params_hash) is what tells
+  /// distinct constants apart (the §5 client-side-join signal).
+  uint64_t params_hash = 0;
 };
 
 class Connection;
@@ -400,9 +404,13 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Parses and executes one statement. May block in the admission gate;
-  /// returns kOverloaded if the queue wait times out.
-  Result<QueryResult> Execute(const std::string& sql);
+  /// Parses and executes one statement, `params` binding its positional
+  /// `?` placeholders in order (see engine::Parse for the placeholder
+  /// rules). Values fold in as typed literals; nothing is spliced into
+  /// text. May block in the admission gate; returns kOverloaded if the
+  /// queue wait times out.
+  Result<QueryResult> Execute(const std::string& sql,
+                              const std::vector<Value>& params = {});
 
   /// EXPLAIN convenience: optimizes and renders without executing.
   Result<std::string> Explain(const std::string& select_sql);
@@ -420,7 +428,7 @@ class Connection {
   /// statement-registry handle and installs the trace on its thread
   /// itself, so the trace also covers result serialization and
   /// write-backpressure stalls after Execute returns. Execute then skips
-  /// Begin at depth 0 and attributes to the caller's installed trace.
+  /// Begin and attributes to the caller's installed trace.
   void set_external_statement_trace(bool external) {
     external_trace_ = external;
   }
@@ -429,9 +437,9 @@ class Connection {
   friend class Database;
   explicit Connection(Database* db);
 
-  /// Dispatches a parsed statement. Assumes the caller already holds the
-  /// appropriate DDL latch and admission slot (Execute at depth 0 does;
-  /// procedure-body recursion inherits the outer statement's).
+  /// Dispatches a parsed statement with its placeholder values. Assumes
+  /// the caller (Execute) already holds the appropriate DDL latch and
+  /// admission slot.
   ///
   /// Opted out of the analysis: the latch mode is branch-dependent —
   /// Execute takes ddl_mu_ exclusive for DDL, shared for everything
@@ -440,21 +448,31 @@ class Connection {
   /// intra-procedural analysis (DESIGN.md §8.4); the runtime rank
   /// checker still covers the latch itself.
   Result<QueryResult> ExecuteParsed(StatementAst& stmt,
-                                    const std::string& sql)
+                                    const std::string& sql,
+                                    const optimizer::ParamBindings& params)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  Result<QueryResult> ExecuteSelect(
-      const SelectAst& ast,
-      const std::vector<std::pair<std::string, Value>>* params,
-      const std::string& cache_key, QueryResult* out);
+  /// A non-empty `cache_key` (procedure statements only) keeps the
+  /// placeholders symbolic under a cached plan; see the definition.
+  Result<QueryResult> ExecuteSelect(const SelectAst& ast,
+                                    const optimizer::ParamBindings& params,
+                                    const std::string& cache_key,
+                                    QueryResult* out);
   /// EXPLAIN ANALYZE: executes the plan with per-operator instrumentation
   /// and renders actual rows/time/memory next to the estimates.
-  Result<QueryResult> ExecuteExplainAnalyze(const SelectAst& ast,
-                                            QueryResult* out);
-  Result<QueryResult> ExecuteInsert(const InsertAst& ast);
-  Result<QueryResult> ExecuteUpdate(const UpdateAst& ast);
-  Result<QueryResult> ExecuteDelete(const DeleteAst& ast);
-  Result<QueryResult> ExecuteCall(const CallAst& ast);
+  Result<QueryResult> ExecuteExplainAnalyze(
+      const SelectAst& ast, const optimizer::ParamBindings& params,
+      QueryResult* out);
+  Result<QueryResult> ExecuteInsert(const InsertAst& ast,
+                                    const optimizer::ParamBindings& params);
+  Result<QueryResult> ExecuteUpdate(const UpdateAst& ast,
+                                    const optimizer::ParamBindings& params);
+  Result<QueryResult> ExecuteDelete(const DeleteAst& ast,
+                                    const optimizer::ParamBindings& params);
+  /// Runs a procedure body: each statement is parsed once and handed, with
+  /// the CALL's values bound to its :names, to the executors above.
+  Result<QueryResult> ExecuteCall(const CallAst& ast,
+                                  const optimizer::ParamBindings& params);
 
   /// Runs a single-table scan collecting matching (rid, row) pairs — the
   /// DML victim scan, planned by the heuristic bypass (paper §4.1).
@@ -485,9 +503,6 @@ class Connection {
   /// Scratch row reused by ApplyUndo across undo records (decode-into,
   /// no per-record allocation churn). Connections are single-threaded.
   table::Row undo_scratch_row_;
-  /// Statement nesting depth: >0 inside a procedure body, where locks and
-  /// the admission slot are inherited from the top-level statement.
-  int exec_depth_ = 0;
   /// See set_external_statement_trace().
   bool external_trace_ = false;
   /// Trace events collected while the DDL latch is held; emitted by the

@@ -82,6 +82,10 @@ Result<std::vector<Token>> Lex(const std::string& sql) {
       t.text = sql.substr(i + 1, j - i - 1);
       t.raw = sql.substr(i, j - i);
       i = j;
+    } else if (c == '?') {
+      t.kind = TokenKind::kParam;
+      t.raw = "?";
+      ++i;
     } else {
       // Multi-char operators first.
       static const char* kTwo[] = {"<=", ">=", "<>", "!="};

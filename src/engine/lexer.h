@@ -12,7 +12,7 @@ enum class TokenKind : uint8_t {
   kIdent,     // bare identifier or keyword (uppercased in `text`)
   kNumber,    // integer or decimal literal
   kString,    // quoted string, quotes stripped
-  kParam,     // :name
+  kParam,     // :name, or a positional '?' (empty `text`)
   kSymbol,    // punctuation / operator in `text` ("<=", ",", "(", ...)
   kEnd,
 };

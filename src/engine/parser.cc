@@ -74,11 +74,12 @@ class Parser {
   Result<AstExprPtr> ParseMultiplicative();
   Result<AstExprPtr> ParsePrimary();
 
-  Result<Value> ParseLiteralValue();
   Result<TypeId> ParseType();
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int positional_params_ = 0;  // '?' placeholders seen so far
+  bool named_params_ = false;  // any :name placeholder seen
 };
 
 AstExprPtr MakeNode(AstExpr::Kind k) {
@@ -250,7 +251,12 @@ Result<AstExprPtr> Parser::ParsePrimary() {
   if (t.kind == TokenKind::kParam) {
     Advance();
     auto e = MakeNode(AstExpr::kParam);
-    e->column = t.text;
+    if (t.text.empty()) {
+      e->ordinal = positional_params_++;
+    } else {
+      e->column = t.text;
+      named_params_ = true;
+    }
     return e;
   }
   if (Accept("(")) {
@@ -325,14 +331,6 @@ Result<AstExprPtr> Parser::ParsePrimary() {
     return e;
   }
   return Status::SyntaxError("unexpected token '" + t.raw + "'");
-}
-
-Result<Value> Parser::ParseLiteralValue() {
-  HDB_ASSIGN_OR_RETURN(AstExprPtr e, ParsePrimary());
-  if (e->kind != AstExpr::kLiteral) {
-    return Status::SyntaxError("literal expected");
-  }
-  return e->literal;
 }
 
 Result<TypeId> Parser::ParseType() {
@@ -588,7 +586,7 @@ Result<StatementAst> Parser::ParseCreate() {
     if (Accept("(")) {
       if (!Is(")")) {
         do {
-          if (Peek().kind != TokenKind::kParam) {
+          if (Peek().kind != TokenKind::kParam || Peek().text.empty()) {
             return Status::SyntaxError("procedure parameters are :names");
           }
           cp.params.push_back(Advance().text);
@@ -610,6 +608,10 @@ Result<StatementAst> Parser::ParseCreate() {
         continue;
       }
       const Token& t = Advance();
+      if (t.kind == TokenKind::kParam && t.text.empty()) {
+        return Status::SyntaxError("procedure bodies take :name parameters, "
+                                   "not '?'");
+      }
       if (!body.empty()) body += " ";
       if (t.kind == TokenKind::kString) {
         std::string esc;
@@ -618,8 +620,6 @@ Result<StatementAst> Parser::ParseCreate() {
           if (ch == '\'') esc += '\'';
         }
         body += "'" + esc + "'";
-      } else if (t.kind == TokenKind::kParam) {
-        body += ":" + t.text;
       } else {
         body += t.raw;
       }
@@ -640,8 +640,12 @@ Result<CallAst> Parser::ParseCall() {
   if (Accept("(")) {
     if (!Is(")")) {
       do {
-        HDB_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-        call.args.push_back(std::move(v));
+        HDB_ASSIGN_OR_RETURN(AstExprPtr arg, ParsePrimary());
+        if (arg->kind != AstExpr::kLiteral && arg->kind != AstExpr::kParam) {
+          return Status::SyntaxError(
+              "CALL arguments are literals or placeholders");
+        }
+        call.args.push_back(std::move(arg));
       } while (Accept(","));
     }
     HDB_RETURN_IF_ERROR(Expect(")"));
@@ -716,6 +720,10 @@ Result<StatementAst> Parser::ParseStatement() {
   if (Peek().kind != TokenKind::kEnd) {
     return Status::SyntaxError("trailing input near '" + Peek().raw + "'");
   }
+  if (positional_params_ > 0 && named_params_) {
+    return Status::SyntaxError("a statement cannot mix '?' and :name "
+                               "placeholders");
+  }
   return out;
 }
 
@@ -737,10 +745,8 @@ std::string NormalizeStatement(const std::string& sql) {
     switch (t.kind) {
       case TokenKind::kNumber:
       case TokenKind::kString:
-        out += "?";
-        break;
       case TokenKind::kParam:
-        out += ":?";
+        out += "?";
         break;
       default:
         out += t.text;  // uppercased idents/symbols

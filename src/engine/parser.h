@@ -40,7 +40,8 @@ struct AstExpr {
   Kind kind = kLiteral;
   Value literal;
   std::string table;   // qualifier, may be empty
-  std::string column;  // column or parameter name
+  std::string column;  // column or :name parameter name
+  int ordinal = -1;    // kParam: 0-based position of a '?'; -1 for :name
   optimizer::CompareOp cmp = optimizer::CompareOp::kEq;
   optimizer::ArithOp arith = optimizer::ArithOp::kAdd;
   optimizer::AggKind agg = optimizer::AggKind::kCountStar;
@@ -131,7 +132,7 @@ struct CreateProcedureAst {
 
 struct CallAst {
   std::string name;
-  std::vector<Value> args;
+  std::vector<AstExprPtr> args;  // each a kLiteral or a kParam
 };
 
 struct SetOptionAst {
@@ -160,11 +161,16 @@ using StatementAst =
                  CreateIndexAst, CreateStatisticsAst, CreateProcedureAst,
                  CallAst, SetOptionAst, SimpleAst, DropAst, ExplainAst>;
 
-/// Parses exactly one statement (a trailing ';' is allowed).
+/// Parses exactly one statement (a trailing ';' is allowed). Values enter
+/// a statement only through placeholders: positional `?` or named `:name`
+/// (procedure bodies), never both in one statement. A placeholder may
+/// stand wherever an expression may, and as a CALL argument; LIMIT and
+/// SET OPTION take literals only.
 Result<StatementAst> Parse(const std::string& sql);
 
-/// Normalizes a SQL text to its *statement shape*: literals replaced by
-/// '?', whitespace canonicalized, keywords uppercased. Statements that
+/// Normalizes a SQL text to its *statement shape*: literals and
+/// placeholders replaced by '?', whitespace canonicalized, keywords
+/// uppercased. Statements that
 /// differ only in constants normalize identically (paper §5; used by the
 /// request tracer and the `sys.statements` virtual table).
 std::string NormalizeStatement(const std::string& sql);

@@ -66,8 +66,9 @@ struct ExecContext {
   TaskMemoryContext* memory = nullptr;
   /// Quantifier count of the query (sizes RowContext).
   size_t num_quantifiers = 0;
-  /// Procedure parameter bindings, propagated into every RowContext.
-  const std::vector<std::pair<std::string, Value>>* params = nullptr;
+  /// A cached procedure plan's :name bindings, propagated into every
+  /// RowContext (null for every other statement: its values are literals).
+  const optimizer::ParamBindings* params = nullptr;
   /// Row source for virtual `sys.*` tables (by table oid): the engine
   /// materializes live telemetry at scan Open() time; SeqScan iterates
   /// the materialized rows instead of heap pages.

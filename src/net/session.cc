@@ -154,7 +154,7 @@ SessionAction Session::HandleQuery(PayloadReader* in, FrameSink* sink) {
     sink->Write(out);
     return SessionAction::kContinue;
   }
-  return RunStatement(sql, sink);
+  return RunStatement(sql, {}, sink);
 }
 
 SessionAction Session::HandlePrepare(PayloadReader* in, FrameSink* sink) {
@@ -175,8 +175,17 @@ SessionAction Session::HandlePrepare(PayloadReader* in, FrameSink* sink) {
     return SessionAction::kContinue;
   }
   Prepared p;
-  p.parts = SplitOnPlaceholders(sql);
-  const size_t param_count = p.parts.size() - 1;
+  p.sql = std::move(sql);
+  // Text the lexer rejects prepares with no placeholders; Execute then
+  // reports the syntax error.
+  if (auto tokens = engine::Lex(p.sql); tokens.ok()) {
+    for (const engine::Token& t : *tokens) {
+      if (t.kind == engine::TokenKind::kParam && t.text.empty()) {
+        ++p.param_count;
+      }
+    }
+  }
+  const size_t param_count = p.param_count;
   const uint32_t id = next_prepared_id_++;
   prepared_.emplace(id, std::move(p));
   prepared_live_.store(prepared_.size(), std::memory_order_relaxed);
@@ -211,7 +220,7 @@ SessionAction Session::HandleBind(PayloadReader* in, FrameSink* sink) {
     sink->Write(out);
     return SessionAction::kContinue;
   }
-  const size_t want = it->second.parts.size() - 1;
+  const size_t want = it->second.param_count;
   if (values.size() != want) {
     AppendErrorFrame(&out, StatusCode::kInvalidArgument,
                      "bind of " + std::to_string(values.size()) +
@@ -242,7 +251,7 @@ SessionAction Session::HandleExecute(PayloadReader* in, FrameSink* sink) {
     return SessionAction::kContinue;
   }
   const Prepared& p = it->second;
-  const size_t want = p.parts.size() - 1;
+  const size_t want = p.param_count;
   if (p.bound.size() != want) {
     AppendErrorFrame(&out, StatusCode::kInvalidArgument,
                      "execute with " + std::to_string(p.bound.size()) +
@@ -250,16 +259,11 @@ SessionAction Session::HandleExecute(PayloadReader* in, FrameSink* sink) {
     sink->Write(out);
     return SessionAction::kContinue;
   }
-  // Splice literals into the statement text: the engine re-optimizes with
-  // actual values, so selectivity estimation sees the real constants
-  // (paper §3 — and the per-connection plan cache still hits on repeats
-  // of the same values).
-  std::string sql = p.parts[0];
-  for (size_t i = 0; i < want; ++i) {
-    sql += SqlLiteral(p.bound[i]);
-    sql += p.parts[i + 1];
-  }
-  return RunStatement(sql, sink);
+  // The values bind as typed literals: the engine parses and re-optimizes
+  // the statement with them at every execution, so selectivity estimation
+  // sees the real constants (paper §3). Ad hoc statements never use the
+  // plan cache.
+  return RunStatement(p.sql, p.bound, sink);
 }
 
 SessionAction Session::HandleClosePrepared(PayloadReader* in, FrameSink* sink) {
@@ -285,7 +289,9 @@ SessionAction Session::HandleClosePrepared(PayloadReader* in, FrameSink* sink) {
 
 #undef HDB_NET_PARSE
 
-SessionAction Session::RunStatement(const std::string& sql, FrameSink* sink) {
+SessionAction Session::RunStatement(const std::string& sql,
+                                    const std::vector<Value>& params,
+                                    FrameSink* sink) {
   statements_.fetch_add(1, std::memory_order_relaxed);
   Bump(counters_.statements);
 
@@ -317,7 +323,7 @@ SessionAction Session::RunStatement(const std::string& sql, FrameSink* sink) {
       conn_->conn_id(), engine::NormalizeStatement(sql));
   obs::ScopedCurrentTrace trace_scope(stmt.trace());
 
-  Result<engine::QueryResult> result = conn_->Execute(sql);
+  Result<engine::QueryResult> result = conn_->Execute(sql, params);
   in_txn_.store(conn_->in_explicit_txn(), std::memory_order_relaxed);
   stmt.set_ok(result.ok());
   if (!result.ok()) {

@@ -124,17 +124,21 @@ class Session {
   SessionAction HandleExecute(PayloadReader* in, FrameSink* sink);
   SessionAction HandleClosePrepared(PayloadReader* in, FrameSink* sink);
 
-  /// Runs `sql` through the engine under a statement trace that spans
-  /// execution AND result serialization (so write-backpressure stalls
-  /// attribute to the statement), streaming result frames to `sink`.
-  SessionAction RunStatement(const std::string& sql, FrameSink* sink);
+  /// Runs `sql` with `params` bound to its '?' placeholders through the
+  /// engine under a statement trace that spans execution AND result
+  /// serialization (so write-backpressure stalls attribute to the
+  /// statement), streaming result frames to `sink`.
+  SessionAction RunStatement(const std::string& sql,
+                             const std::vector<Value>& params,
+                             FrameSink* sink);
 
   /// Appends an error frame for `s`; kOverloaded gets the dedicated
   /// overload frame with a retry hint.
   void WriteStatusFrame(const Status& s, std::string* out);
 
   struct Prepared {
-    std::vector<std::string> parts;  // N+1 parts around N placeholders
+    std::string sql;
+    size_t param_count = 0;  // '?' placeholders, counted by the lexer
     std::vector<Value> bound;
   };
 

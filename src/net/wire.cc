@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include <cstdio>
 #include <cstring>
 
 namespace hdb::net {
@@ -280,73 +279,6 @@ Result<std::optional<Frame>> FrameAssembler::Next() {
   f.payload = std::string_view(buf_.data() + consumed_ + 5, len - 1);
   consumed_ += 4 + len;
   return std::optional<Frame>(f);
-}
-
-// --- SQL literal rendering -------------------------------------------------
-
-std::string SqlLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  switch (v.type()) {
-    case TypeId::kBoolean:
-      return v.AsBool() ? "TRUE" : "FALSE";
-    case TypeId::kInt:
-    case TypeId::kBigint:
-    case TypeId::kDate:
-    case TypeId::kTimestamp: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(v.AsInt()));
-      return buf;
-    }
-    case TypeId::kDouble: {
-      char buf[64];
-      // %.17g round-trips every IEEE double through the lexer.
-      std::snprintf(buf, sizeof(buf), "%.17g", v.AsDouble());
-      return buf;
-    }
-    case TypeId::kVarchar: {
-      std::string out;
-      out.reserve(v.AsString().size() + 2);
-      out.push_back('\'');
-      for (char c : v.AsString()) {
-        if (c == '\'') out.push_back('\'');  // '' doubling, lexer-compatible
-        out.push_back(c);
-      }
-      out.push_back('\'');
-      return out;
-    }
-  }
-  return "NULL";
-}
-
-std::vector<std::string> SplitOnPlaceholders(const std::string& sql) {
-  std::vector<std::string> parts;
-  std::string cur;
-  bool in_string = false;
-  for (size_t i = 0; i < sql.size(); ++i) {
-    const char c = sql[i];
-    if (in_string) {
-      cur.push_back(c);
-      if (c == '\'') {
-        // '' inside a string is an escaped quote, not a terminator.
-        if (i + 1 < sql.size() && sql[i + 1] == '\'') {
-          cur.push_back(sql[++i]);
-        } else {
-          in_string = false;
-        }
-      }
-    } else if (c == '\'') {
-      in_string = true;
-      cur.push_back(c);
-    } else if (c == '?') {
-      parts.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  parts.push_back(std::move(cur));
-  return parts;
 }
 
 }  // namespace hdb::net

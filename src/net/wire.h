@@ -25,7 +25,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/value.h"
@@ -165,16 +164,6 @@ class FrameAssembler {
   size_t consumed_ = 0;  // bytes of buf_ already returned as frames
   bool poisoned_ = false;
 };
-
-/// Renders `v` as a SQL literal the engine's lexer round-trips: NULL /
-/// TRUE / FALSE bare, integers and %.17g doubles bare, strings quoted
-/// with '' doubling. Used to splice bound parameters into a prepared
-/// statement's text (DESIGN.md §12).
-std::string SqlLiteral(const Value& v);
-
-/// Splits `sql` on '?' placeholders outside single-quoted strings.
-/// Returns the N+1 text parts around N placeholders.
-std::vector<std::string> SplitOnPlaceholders(const std::string& sql);
 
 }  // namespace hdb::net
 

@@ -277,22 +277,6 @@ void Expr::CollectQuantifiers(std::vector<bool>* mask) const {
   for (const ExprPtr& c : children_) c->CollectQuantifiers(mask);
 }
 
-ExprPtr Expr::BindParams(
-    const ExprPtr& e,
-    const std::vector<std::pair<std::string, Value>>& params) {
-  if (e == nullptr) return nullptr;
-  if (e->kind_ == ExprKind::kParam) {
-    for (const auto& [name, value] : params) {
-      if (name == e->name_) return Expr::Literal(value);
-    }
-    return e;
-  }
-  if (e->children_.empty()) return e;
-  auto copy = ExprPtr(new Expr(*e));
-  for (ExprPtr& c : copy->children_) c = BindParams(c, params);
-  return copy;
-}
-
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kLiteral:

@@ -13,7 +13,7 @@ namespace hdb::optimizer {
 enum class ExprKind : uint8_t {
   kLiteral,
   kColumnRef,
-  kParam,       // :name placeholder inside procedure bodies
+  kParam,       // :name placeholder of a cached procedure plan
   kCompare,     // =, <>, <, <=, >, >=
   kAnd,
   kOr,
@@ -31,6 +31,11 @@ enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
 class Expr;
 using ExprPtr = std::shared_ptr<Expr>;
 
+/// The values a statement's placeholders take: one (name, value) per
+/// procedure :name parameter, or one per positional '?' in order (names
+/// empty).
+using ParamBindings = std::vector<std::pair<std::string, Value>>;
+
 /// A row context for evaluation: one row slot per quantifier; each slot is
 /// the decoded base-table row. ColumnRefs address (quantifier, column).
 struct RowContext {
@@ -39,7 +44,7 @@ struct RowContext {
   /// Procedure parameter bindings (kParam lookup). Plans for statements
   /// inside procedures keep parameters symbolic so one cached plan serves
   /// every invocation (paper §4.1); values bind here at execution.
-  const std::vector<std::pair<std::string, Value>>* params = nullptr;
+  const ParamBindings* params = nullptr;
 };
 
 /// Immutable expression tree with SQL three-valued-logic evaluation.
@@ -84,11 +89,6 @@ class Expr {
   /// Bitmask of quantifiers referenced anywhere in this tree (supports up
   /// to 128 quantifiers — the 100-way-join experiment needs >64).
   void CollectQuantifiers(std::vector<bool>* mask) const;
-
-  /// Replaces kParam nodes by literal values (procedure invocation).
-  static ExprPtr BindParams(
-      const ExprPtr& e,
-      const std::vector<std::pair<std::string, Value>>& params);
 
   /// Display form for EXPLAIN and the profiler.
   std::string ToString() const;

@@ -1,6 +1,8 @@
 #include "profile/analyzer.h"
 
 #include <map>
+#include <set>
+#include <utility>
 
 namespace hdb::profile {
 
@@ -12,8 +14,9 @@ std::vector<Finding> WorkloadAnalyzer::Analyze(
   // --- Client-side join detection (paper §5) ---
   struct ShapeStats {
     uint64_t count = 0;
-    uint64_t distinct_texts = 0;
-    std::map<std::string, int> texts;
+    // Distinct (text, bound-values hash) pairs: prepared executions share
+    // one text and differ only in their values.
+    std::set<std::pair<std::string, uint64_t>> variants;
     double elapsed = 0;
     uint64_t scanned = 0;
     uint64_t returned = 0;
@@ -25,13 +28,13 @@ std::vector<Finding> WorkloadAnalyzer::Analyze(
     }
     ShapeStats& s = shapes[NormalizeStatement(ev.sql)];
     s.count++;
-    s.texts[ev.sql]++;
+    s.variants.emplace(ev.sql, ev.params_hash);
     s.elapsed += ev.elapsed_micros;
     s.scanned += ev.rows_scanned;
     s.returned += ev.rows_returned;
   }
   for (const auto& [shape, s] : shapes) {
-    const uint64_t distinct = s.texts.size();
+    const uint64_t distinct = s.variants.size();
     if (s.count >= options_.client_join_threshold && distinct > s.count / 2 &&
         shape.find("?") != std::string::npos &&
         shape.find(" JOIN ") == std::string::npos &&

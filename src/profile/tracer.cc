@@ -13,15 +13,8 @@ namespace {
 /// self-tracing can neither recurse nor deadlock.
 thread_local bool tl_in_sink_write = false;
 
-std::string EscapeSqlString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    out += c;
-    if (c == '\'') out += '\'';
-  }
-  return out;
-}
+/// Columns of one profile_trace row (the schema Attach creates).
+constexpr size_t kSinkColumns = 6;
 
 }  // namespace
 
@@ -77,28 +70,28 @@ std::vector<engine::TraceEvent> RequestTracer::events() const {
 }
 
 void RequestTracer::Flush() {
-  std::vector<std::string> batch;
+  std::vector<Value> batch;
   {
     LockGuard lock(mu_);
-    batch.swap(pending_tuples_);
+    batch.swap(pending_values_);
   }
   if (!batch.empty()) WriteBatch(std::move(batch));
 }
 
-void RequestTracer::WriteBatch(std::vector<std::string> tuples) {
+void RequestTracer::WriteBatch(std::vector<Value> values) {
   if (sink_conn_ == nullptr) return;
+  const size_t rows = values.size() / kSinkColumns;
   std::string insert = "INSERT INTO profile_trace VALUES ";
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (i > 0) insert += ", ";
-    insert += tuples[i];
+  for (size_t i = 0; i < rows; ++i) {
+    insert += i > 0 ? ", (?, ?, ?, ?, ?, ?)" : "(?, ?, ?, ?, ?, ?)";
   }
   tl_in_sink_write = true;
-  const auto r = sink_conn_->Execute(insert);
+  const auto r = sink_conn_->Execute(insert, values);
   tl_in_sink_write = false;
   if (!r.ok()) {
     // Per-event accounting: a failed batch of N rows is N dropped writes.
-    dropped_.fetch_add(tuples.size(), std::memory_order_relaxed);
-    if (dropped_counter_ != nullptr) dropped_counter_->Add(tuples.size());
+    dropped_.fetch_add(rows, std::memory_order_relaxed);
+    if (dropped_counter_ != nullptr) dropped_counter_->Add(rows);
   }
 }
 
@@ -106,7 +99,7 @@ void RequestTracer::OnEvent(const engine::TraceEvent& ev) {
   if (tl_in_sink_write) return;  // our own insert when sink == source
   if (events_counter_ != nullptr) events_counter_->Add();
 
-  std::vector<std::string> batch;
+  std::vector<Value> batch;
   {
     LockGuard lock(mu_);
     if (events_.size() < ring_capacity_) {
@@ -121,14 +114,16 @@ void RequestTracer::OnEvent(const engine::TraceEvent& ev) {
     }
     ++event_seq_;
     if (sink_conn_ != nullptr) {
-      pending_tuples_.push_back(
-          "('" + EscapeSqlString(ev.sql) + "', '" +
-          EscapeSqlString(NormalizeStatement(ev.sql)) + "', " +
-          std::to_string(ev.elapsed_micros) + ", " +
-          std::to_string(ev.rows_returned) + ", " +
-          std::to_string(ev.rows_scanned) + ", " +
-          (ev.bypassed_optimizer ? "TRUE" : "FALSE") + ")");
-      if (pending_tuples_.size() >= batch_size_) batch.swap(pending_tuples_);
+      pending_values_.insert(
+          pending_values_.end(),
+          {Value::String(ev.sql), Value::String(NormalizeStatement(ev.sql)),
+           Value::Double(ev.elapsed_micros),
+           Value::Bigint(static_cast<int64_t>(ev.rows_returned)),
+           Value::Bigint(static_cast<int64_t>(ev.rows_scanned)),
+           Value::Boolean(ev.bypassed_optimizer)});
+      if (pending_values_.size() >= batch_size_ * kSinkColumns) {
+        batch.swap(pending_values_);
+      }
     }
   }
   if (!batch.empty()) WriteBatch(std::move(batch));

@@ -63,9 +63,10 @@ class RequestTracer {
 
  private:
   void OnEvent(const engine::TraceEvent& ev);
-  /// Executes one multi-row INSERT for `tuples`; on failure every tuple
-  /// counts as one dropped sink write.
-  void WriteBatch(std::vector<std::string> tuples);
+  /// Executes one multi-row INSERT binding `values` (whole rows, in
+  /// column order) to its placeholders; on failure every row counts as one
+  /// dropped sink write.
+  void WriteBatch(std::vector<Value> values);
 
   const size_t batch_size_;
   const size_t ring_capacity_;
@@ -77,13 +78,13 @@ class RequestTracer {
   engine::Database* sink_ = nullptr;
   std::unique_ptr<engine::Connection> sink_conn_;
 
-  /// Guards events_/event_seq_ and pending_tuples_; never held across a
+  /// Guards events_/event_seq_ and pending_values_; never held across a
   /// sink write.
   mutable RankedMutex<LockRank::kTracer> mu_;
   std::vector<engine::TraceEvent> events_ GUARDED_BY(mu_);  // bounded ring
   uint64_t event_seq_ GUARDED_BY(mu_) = 0;  // events ever delivered
-  // Rendered "(...)" row tuples awaiting a batch INSERT.
-  std::vector<std::string> pending_tuples_ GUARDED_BY(mu_);
+  // Sink rows awaiting a batch INSERT, flattened column by column.
+  std::vector<Value> pending_values_ GUARDED_BY(mu_);
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> dropped_ring_{0};
 

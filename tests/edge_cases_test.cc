@@ -50,7 +50,14 @@ INSTANTIATE_TEST_SUITE_P(
         "CREATE TABLE t (a BLOB)", "CREATE INDEX ON t (a)",
         "CREATE PROCEDURE p (x) AS SELECT 1 FROM t",
         "DROP t", "SET OPTION x", "SELECT a FROM t WHERE s LIKE pattern",
-        "CALIBRATE", "SELECT a FROM t;; SELECT b FROM t"));
+        "CALIBRATE", "SELECT a FROM t;; SELECT b FROM t",
+        // Placeholders: never mixed, never '?' in a procedure body, and
+        // LIMIT / SET OPTION / LIKE take literals only.
+        "SELECT a FROM t WHERE a = ? AND b = :b",
+        "CREATE PROCEDURE p (:a) AS SELECT a FROM t WHERE a = ?",
+        "CREATE PROCEDURE p (?) AS SELECT a FROM t",
+        "SELECT a FROM t LIMIT ?", "SET OPTION x = ?",
+        "SELECT a FROM t WHERE s LIKE ?", "CALL p(-?)"));
 
 // --- Binder diagnostics ---
 

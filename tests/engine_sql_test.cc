@@ -461,6 +461,47 @@ TEST(EngineTest, ProcedureDmlSubstitutesWholeParamTokensOnly) {
   EXPECT_EQ(r.rows[1][2].AsString(), ":a");
 }
 
+// Procedure DML binds DOUBLE arguments at full precision; rendering them
+// back into SQL text kept only 6 significant digits.
+TEST(EngineTest, ProcedureDmlKeepsDoubleArgumentsExact) {
+  Db db;
+  db.Exec("CREATE TABLE d (k INT, x DOUBLE)");
+  db.Exec("INSERT INTO d VALUES (1, 0), (2, 0)");
+  db.Exec("CREATE PROCEDURE setd (:k, :x) AS UPDATE d SET x = :x WHERE k = :k");
+  db.Exec("CALL setd(1, 0.123456789)");
+  db.Exec("CALL setd(2, 1234567.5)");
+  auto r = db.Exec("SELECT x FROM d ORDER BY k");
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_EQ(r.rows[0][0].AsDouble(), 0.123456789);
+  EXPECT_EQ(r.rows[1][0].AsDouble(), 1234567.5);
+}
+
+// `?` binds typed values through Execute, in any expression position and
+// as a CALL argument (edge_cases_test sweeps the placements it rejects).
+TEST(EngineTest, PositionalPlaceholdersBindTypedValues) {
+  Db db;
+  db.Exec("CREATE TABLE t (k INT, s VARCHAR(16), x DOUBLE)");
+  auto ins = db.c->Execute("INSERT INTO t VALUES (?, ?, ?)",
+                           {Value::Int(1), Value::String("it's -- ?"),
+                            Value::Double(0.1 + 0.2)});
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  auto r = db.c->Execute("SELECT s, x FROM t WHERE k = ? AND s = ?",
+                         {Value::Int(1), Value::String("it's -- ?")});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(), "it's -- ?");
+  EXPECT_EQ(r->rows[0][1].AsDouble(), 0.1 + 0.2);
+
+  db.Exec("CREATE PROCEDURE get_s (:k) AS SELECT s FROM t WHERE k = :k");
+  auto call = db.c->Execute("CALL get_s(?)", {Value::Int(1)});
+  ASSERT_TRUE(call.ok()) << call.status().ToString();
+  ASSERT_EQ(call->rows.size(), 1u);
+
+  // A placeholder with no value bound is an error, not a NULL.
+  EXPECT_EQ(db.c->Execute("SELECT s FROM t WHERE k = ?").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(EngineTest, AdHocStatementsReOptimizeEveryTime) {
   Db db;
   db.Exec("CREATE TABLE t (k INT)");

@@ -182,6 +182,73 @@ TEST(NetServerTest, PreparedStatementLifecycle) {
   EXPECT_TRUE(client->Close().ok());
 }
 
+// A negative value bound right after '-' stays a value. Spliced into the
+// text it would make "--", the start of a line comment, and silently cut
+// the statement short.
+TEST(NetServerTest, NegativeValueBoundAfterMinusIsNotAComment) {
+  NetFixture fx;
+  fx.Exec("CREATE TABLE acct (id INT, bal INT)");
+  fx.Exec("INSERT INTO acct VALUES (1, 100), (2, 100), (3, 100)");
+  std::unique_ptr<Client> client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+
+  auto upd = client->Prepare("UPDATE acct SET bal = bal -? WHERE id = ?");
+  ASSERT_TRUE(upd.ok()) << upd.status().ToString();
+  EXPECT_EQ(upd->param_count, 2u);
+  ASSERT_TRUE(
+      client->Bind(upd->stmt_id, {Value::Int(-5), Value::Int(2)}).ok());
+  auto r = client->ExecutePrepared(upd->stmt_id);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows_affected, 1u);
+  auto bal = fx.Exec("SELECT bal FROM acct ORDER BY id");
+  ASSERT_EQ(bal.rows.size(), 3u);
+  EXPECT_EQ(bal.rows[0][0].AsInt(), 100);
+  EXPECT_EQ(bal.rows[1][0].AsInt(), 105);
+  EXPECT_EQ(bal.rows[2][0].AsInt(), 100);
+
+  auto sel = client->Prepare("SELECT id FROM acct WHERE id = 3 -?");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  ASSERT_TRUE(client->Bind(sel->stmt_id, {Value::Int(-1)}).ok());
+  auto none = client->ExecutePrepared(sel->stmt_id);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->rows.empty());  // 3 - (-1) = 4: no such id
+  ASSERT_TRUE(client->Bind(sel->stmt_id, {Value::Int(1)}).ok());
+  auto two = client->ExecutePrepared(sel->stmt_id);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  ASSERT_EQ(two->rows.size(), 1u);
+  EXPECT_EQ(two->rows[0][0].AsInt(), 2);
+
+  EXPECT_TRUE(client->Close().ok());
+}
+
+// A prepared execution and the same SELECT with inline constants share
+// one statement shape, so sys.statements counts them on one row.
+TEST(NetServerTest, PreparedAndInlineShareOneStatementShape) {
+  NetFixture fx;
+  fx.Exec("CREATE TABLE kv (k INT, v INT)");
+  fx.Exec("INSERT INTO kv VALUES (1, 10), (2, 20)");
+  std::unique_ptr<Client> client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+
+  auto sel = client->Prepare("SELECT v FROM kv WHERE k = ?");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  for (int k = 1; k <= 2; ++k) {
+    ASSERT_TRUE(client->Bind(sel->stmt_id, {Value::Int(k)}).ok());
+    auto r = client->ExecutePrepared(sel->stmt_id);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][0].AsInt(), 10 * k);
+  }
+  fx.Exec("SELECT v FROM kv WHERE k = 2");
+
+  auto rows = fx.Exec(
+      "SELECT count FROM sys.statements "
+      "WHERE shape = 'SELECT V FROM KV WHERE K = ?'");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsInt(), 3);
+  EXPECT_TRUE(client->Close().ok());
+}
+
 TEST(NetServerTest, ErrorFramesKeepTheConnectionUsable) {
   NetFixture fx;
   fx.Exec("CREATE TABLE t (a INT)");

@@ -211,32 +211,6 @@ TEST(WireCodecTest, BadValueTagAndFlagsRejected) {
   }
 }
 
-TEST(WireCodecTest, SqlLiteralQuoting) {
-  EXPECT_EQ("NULL", SqlLiteral(Value::Null(TypeId::kVarchar)));
-  EXPECT_EQ("TRUE", SqlLiteral(Value::Boolean(true)));
-  EXPECT_EQ("-42", SqlLiteral(Value::Int(-42)));
-  EXPECT_EQ("'plain'", SqlLiteral(Value::String("plain")));
-  EXPECT_EQ("'it''s'", SqlLiteral(Value::String("it's")));
-  EXPECT_EQ("''''''", SqlLiteral(Value::String("''")));
-  // %.17g round-trips through strtod exactly.
-  const double d = 0.1 + 0.2;
-  EXPECT_EQ(d, std::stod(SqlLiteral(Value::Double(d))));
-}
-
-TEST(WireCodecTest, SplitOnPlaceholders) {
-  using V = std::vector<std::string>;
-  EXPECT_EQ(V({"SELECT 1"}), SplitOnPlaceholders("SELECT 1"));
-  EXPECT_EQ(V({"a = ", ""}), SplitOnPlaceholders("a = ?"));
-  EXPECT_EQ(V({"a = ", " AND b = ", ""}),
-            SplitOnPlaceholders("a = ? AND b = ?"));
-  // '?' inside a string literal is not a placeholder.
-  EXPECT_EQ(V({"SELECT '?' FROM t WHERE a = ", ""}),
-            SplitOnPlaceholders("SELECT '?' FROM t WHERE a = ?"));
-  // '' escaping keeps the lexer-visible string open across the quote.
-  EXPECT_EQ(V({"SELECT 'it''s ?' , ", ""}),
-            SplitOnPlaceholders("SELECT 'it''s ?' , ?"));
-}
-
 // The mutation corpus: take a valid multi-frame stream, flip bytes at
 // seeded-random positions, and run the full decode pipeline (assembler →
 // opcode check → payload parse) over the result. Any outcome is fine

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "profile/analyzer.h"
 #include "profile/index_consultant.h"
 #include "profile/tracer.h"
@@ -79,6 +81,32 @@ TEST(TracerTest, SelfTracingDoesNotRecurse) {
   EXPECT_EQ(tracer.events().size(), 2u);  // not an event per insert
 }
 
+// A CALL is one request whatever its body runs: the body's statements
+// are not traced as client statements of their own.
+TEST(TracerTest, EveryCallIsOneProcedureEvent) {
+  Db db;
+  db.Exec("CREATE TABLE t (k INT, x DOUBLE)");
+  db.Exec("INSERT INTO t VALUES (1, 0)");
+  db.Exec("CREATE PROCEDURE get_x (:k) AS SELECT x FROM t WHERE k = :k");
+  db.Exec("CREATE PROCEDURE set_x (:k, :x) AS UPDATE t SET x = :x "
+          "WHERE k = :k");
+  db.Exec("CREATE PROCEDURE add_get (:k) AS INSERT INTO t VALUES (:k, 0); "
+          "SELECT COUNT(*) FROM t");
+  RequestTracer tracer;
+  ASSERT_TRUE(tracer.Attach(db.database.get(), nullptr).ok());
+  db.Exec("CALL get_x(1)");
+  db.Exec("CALL set_x(1, 2.5)");
+  db.Exec("CALL add_get(2)");
+  tracer.Detach();
+
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 3u);
+  for (const engine::TraceEvent& ev : events) {
+    EXPECT_TRUE(ev.from_procedure) << ev.sql;
+    EXPECT_EQ(ev.sql.rfind("CALL", 0), 0u) << ev.sql;
+  }
+}
+
 TEST(AnalyzerTest, DetectsClientSideJoin) {
   Db db;
   RequestTracer tracer;
@@ -103,6 +131,48 @@ TEST(AnalyzerTest, DetectsClientSideJoin) {
     }
   }
   EXPECT_TRUE(saw);
+}
+
+// Prepared executions all carry one SQL text; the bound values' hash is
+// what still tells the probes of a client-side join apart.
+TEST(AnalyzerTest, DetectsClientSideJoinThroughPreparedStatements) {
+  Db db;
+  db.Exec("CREATE TABLE item (id INT NOT NULL, price DOUBLE)");
+  for (int i = 0; i < 50; ++i) {
+    db.Exec("INSERT INTO item VALUES (" + std::to_string(i) + ", 1.0)");
+  }
+  auto server = net::Server::Start(db.database.get(), {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::Client::Connect("127.0.0.1", (*server)->port(), {});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto probe = (*client)->Prepare("SELECT price FROM item WHERE id = ?");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  auto repeat = (*client)->Prepare("SELECT id FROM item WHERE price = ?");
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+
+  RequestTracer tracer;
+  ASSERT_TRUE(tracer.Attach(db.database.get(), nullptr).ok());
+  for (int i = 0; i < 30; ++i) {
+    // One probe per id, and one identical statement run again and again.
+    ASSERT_TRUE((*client)->Bind(probe->stmt_id, {Value::Int(i)}).ok());
+    ASSERT_TRUE((*client)->ExecutePrepared(probe->stmt_id).ok());
+    ASSERT_TRUE(
+        (*client)->Bind(repeat->stmt_id, {Value::Double(2.0)}).ok());
+    ASSERT_TRUE((*client)->ExecutePrepared(repeat->stmt_id).ok());
+  }
+  tracer.Detach();
+  EXPECT_TRUE((*client)->Close().ok());
+  server->reset();
+
+  WorkloadAnalyzer analyzer;
+  int joins = 0;
+  for (const auto& f : analyzer.Analyze(tracer.events(), db.database.get())) {
+    if (f.kind != FindingKind::kClientSideJoin) continue;
+    ++joins;
+    EXPECT_EQ(f.subject, "SELECT PRICE FROM ITEM WHERE ID = ?");
+    EXPECT_GE(f.occurrences, 30u);
+  }
+  EXPECT_EQ(joins, 1);
 }
 
 TEST(AnalyzerTest, NoFalsePositiveOnRepeatedIdenticalStatement) {

@@ -3,9 +3,15 @@
 // feedback enabled) and through a reference evaluator written directly
 // against the in-test row vectors. Any divergence is a bug in some layer
 // of the stack.
+//
+// The predicate and DML suites also run each statement down all three
+// ways a value reaches the engine — inline literals, positional '?' bound
+// through Connection::Execute(sql, params), and a CALL of a procedure that
+// names its parameters — and hold every path to the same reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -19,6 +25,43 @@ struct RefRow {
   int32_t b;
   bool b_null;
   std::string s;
+};
+
+/// How a statement's values reach the engine.
+enum class ValuePath { kInline, kPositional, kProcedure };
+
+const char* PathName(ValuePath path) {
+  switch (path) {
+    case ValuePath::kInline:
+      return "inline";
+    case ValuePath::kPositional:
+      return "positional";
+    case ValuePath::kProcedure:
+      return "procedure";
+  }
+  return "?";
+}
+
+/// One statement spelled three ways over the same integer values: inline
+/// literals, positional '?', and :p0, :p1, ... for a procedure body.
+struct Spelled {
+  std::string inline_sql, positional, named;
+  std::vector<int> values;
+
+  Spelled& Text(const std::string& text) {
+    inline_sql += text;
+    positional += text;
+    named += text;
+    return *this;
+  }
+  Spelled& Param(int v) {
+    // Parenthesized so a negative value after '-' never reads as "--".
+    inline_sql += v < 0 ? "(" + std::to_string(v) + ")" : std::to_string(v);
+    positional += "?";
+    named += ":p" + std::to_string(values.size());
+    values.push_back(v);
+    return *this;
+  }
 };
 
 struct DiffFixture {
@@ -59,11 +102,50 @@ struct DiffFixture {
     return r.ok() ? *r : engine::QueryResult{};
   }
 
+  /// Runs `stmt` down `path`. Procedures are created on first use, one
+  /// per statement shape, so repeated shapes reuse (and cache) one plan.
+  engine::QueryResult Exec(ValuePath path, const Spelled& stmt) {
+    switch (path) {
+      case ValuePath::kInline:
+        return Exec(stmt.inline_sql);
+      case ValuePath::kPositional: {
+        std::vector<Value> params;
+        for (const int v : stmt.values) params.push_back(Value::Int(v));
+        auto r = conn->Execute(stmt.positional, params);
+        EXPECT_TRUE(r.ok()) << stmt.positional << ": "
+                            << r.status().ToString();
+        return r.ok() ? *r : engine::QueryResult{};
+      }
+      case ValuePath::kProcedure: {
+        auto [it, created] = procedures.try_emplace(
+            stmt.named, "diff_p" + std::to_string(procedures.size()));
+        if (created) {
+          std::string names;
+          for (size_t i = 0; i < stmt.values.size(); ++i) {
+            names += (i > 0 ? ", :p" : ":p") + std::to_string(i);
+          }
+          Exec("CREATE PROCEDURE " + it->second + " (" + names + ") AS " +
+               stmt.named);
+        }
+        std::string args;
+        for (size_t i = 0; i < stmt.values.size(); ++i) {
+          args += (i > 0 ? ", " : "") + std::to_string(stmt.values[i]);
+        }
+        return Exec("CALL " + it->second + "(" + args + ")");
+      }
+    }
+    return {};
+  }
+
   Rng rng;
   std::unique_ptr<engine::Database> db;
   std::unique_ptr<engine::Connection> conn;
   std::vector<RefRow> ref;
+  std::map<std::string, std::string> procedures;  // named body -> name
 };
+
+constexpr ValuePath kAllPaths[] = {ValuePath::kInline, ValuePath::kPositional,
+                                   ValuePath::kProcedure};
 
 class SqlDifferential
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
@@ -78,44 +160,48 @@ TEST_P(SqlDifferential, PointAndRangeQueries) {
     const int hi = lo + static_cast<int>(qrng.Uniform(20));
     const int bval = static_cast<int>(qrng.Uniform(20));
     const int mode = static_cast<int>(qrng.Uniform(5));
-    std::string where;
+    Spelled stmt;
+    stmt.Text("SELECT COUNT(*) FROM t WHERE ");
     std::function<bool(const RefRow&)> pred;
     switch (mode) {
       case 0:
-        where = "a = " + std::to_string(lo);
+        stmt.Text("a = ").Param(lo);
         pred = [lo](const RefRow& r) { return r.a == lo; };
         break;
       case 1:
-        where = "a BETWEEN " + std::to_string(lo) + " AND " +
-                std::to_string(hi);
+        stmt.Text("a BETWEEN ").Param(lo).Text(" AND ").Param(hi);
         pred = [lo, hi](const RefRow& r) { return r.a >= lo && r.a <= hi; };
         break;
       case 2:
-        where = "a >= " + std::to_string(lo) + " AND b = " +
-                std::to_string(bval);
+        stmt.Text("a >= ").Param(lo).Text(" AND b = ").Param(bval);
         pred = [lo, bval](const RefRow& r) {
           return r.a >= lo && !r.b_null && r.b == bval;
         };
         break;
       case 3:
-        where = "b IS NULL OR a < " + std::to_string(lo);
+        // a < (lo - 7) - (-7): a negative value right after '-'.
+        stmt.Text("b IS NULL OR a < " + std::to_string(lo - 7) + " -")
+            .Param(-7);
         pred = [lo](const RefRow& r) { return r.b_null || r.a < lo; };
         break;
       default:
-        where = "s LIKE '%alpha%' AND a <> " + std::to_string(lo);
+        stmt.Text("s LIKE '%alpha%' AND a <> ").Param(lo);
         pred = [lo](const RefRow& r) {
           return r.s.find("alpha") != std::string::npos && r.a != lo;
         };
         break;
     }
-    const auto result =
-        f.Exec("SELECT COUNT(*) FROM t WHERE " + where);
     int64_t expected = 0;
     for (const RefRow& r : f.ref) {
       if (pred(r)) ++expected;
     }
-    ASSERT_EQ(result.rows.size(), 1u) << where;
-    EXPECT_EQ(result.rows[0][0].AsInt(), expected) << where;
+    for (const ValuePath path : kAllPaths) {
+      const auto result = f.Exec(path, stmt);
+      ASSERT_EQ(result.rows.size(), 1u)
+          << PathName(path) << ": " << stmt.inline_sql;
+      EXPECT_EQ(result.rows[0][0].AsInt(), expected)
+          << PathName(path) << ": " << stmt.inline_sql;
+    }
   }
 }
 
@@ -205,30 +291,43 @@ TEST_P(SqlDifferential, SelfJoinViaTwoTables) {
 
 TEST_P(SqlDifferential, DmlThenQueryConsistency) {
   const auto [seed, with_index] = GetParam();
-  DiffFixture f(seed, with_index);
-  Rng drng(seed * 17 + 3);
+  // Each path mutates its own copy of the same data.
+  for (const ValuePath path : kAllPaths) {
+    SCOPED_TRACE(PathName(path));
+    DiffFixture f(seed, with_index);
+    Rng drng(seed * 17 + 3);
 
-  // Random DML mixed with verification queries.
-  for (int step = 0; step < 10; ++step) {
-    const int pivot = static_cast<int>(drng.Uniform(50));
-    if (drng.Bernoulli(0.5)) {
-      f.Exec("DELETE FROM t WHERE a = " + std::to_string(pivot));
-      std::erase_if(f.ref, [pivot](const RefRow& r) { return r.a == pivot; });
-    } else {
-      f.Exec("UPDATE t SET b = 99 WHERE a = " + std::to_string(pivot));
-      for (RefRow& r : f.ref) {
-        if (r.a == pivot) {
-          r.b = 99;
-          r.b_null = false;
+    // Random DML mixed with verification queries.
+    for (int step = 0; step < 10; ++step) {
+      const int pivot = static_cast<int>(drng.Uniform(50));
+      Spelled dml;
+      if (drng.Bernoulli(0.5)) {
+        dml.Text("DELETE FROM t WHERE a = ").Param(pivot);
+        f.Exec(path, dml);
+        std::erase_if(f.ref,
+                      [pivot](const RefRow& r) { return r.a == pivot; });
+      } else {
+        // SET b = 98 - (-1): a negative value right after '-'.
+        dml.Text("UPDATE t SET b = 98 -").Param(-1).Text(" WHERE a = ")
+            .Param(pivot);
+        f.Exec(path, dml);
+        for (RefRow& r : f.ref) {
+          if (r.a == pivot) {
+            r.b = 99;
+            r.b_null = false;
+          }
         }
       }
+      Spelled count;
+      count.Text("SELECT COUNT(*) FROM t WHERE b = ").Param(99);
+      const auto result = f.Exec(path, count);
+      int64_t expected = 0;
+      for (const RefRow& r : f.ref) {
+        if (!r.b_null && r.b == 99) ++expected;
+      }
+      ASSERT_EQ(result.rows.size(), 1u) << "step " << step;
+      EXPECT_EQ(result.rows[0][0].AsInt(), expected) << "step " << step;
     }
-    const auto result = f.Exec("SELECT COUNT(*) FROM t WHERE b = 99");
-    int64_t expected = 0;
-    for (const RefRow& r : f.ref) {
-      if (!r.b_null && r.b == 99) ++expected;
-    }
-    EXPECT_EQ(result.rows[0][0].AsInt(), expected) << "step " << step;
   }
 }
 
