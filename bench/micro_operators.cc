@@ -22,39 +22,16 @@ namespace {
 // ---------------------------------------------------------------------------
 // End-to-end executor throughput (the substrate every governor decision is
 // capped by): full SQL pipeline over a resident table, reported as rows/s
-// of base-table input. These are the benches scripts/bench_smoke.sh tracks
-// in BENCH_exec.json, so names and shapes must stay stable.
+// of base-table input. scripts/bench_smoke.sh prints these rates next to
+// BENCH_exec.json as a trajectory, and bench/exec_work counts the work of
+// the same statements over the same data (bench/workloads.h), so names and
+// shapes must stay stable.
 // ---------------------------------------------------------------------------
-
-constexpr int kExecRows = 40000;
-constexpr int kExecDimRows = 1024;
 
 bench::BenchDb& ExecDb() {
   static bench::BenchDb* db = [] {
     auto* d = new bench::BenchDb();
-    d->Exec(
-        "CREATE TABLE r (k INT NOT NULL, g INT NOT NULL, j INT NOT NULL, "
-        "v DOUBLE, s VARCHAR(24))");
-    d->Exec("CREATE TABLE d (id INT NOT NULL, w INT NOT NULL)");
-    Rng rng(11);
-    std::vector<table::Row> rows;
-    rows.reserve(kExecRows);
-    static const char* kTags[] = {"alpha", "bravo", "carbon", "delta"};
-    for (int i = 0; i < kExecRows; ++i) {
-      rows.push_back({Value::Int(static_cast<int32_t>(rng.Uniform(50000))),
-                      Value::Int(static_cast<int32_t>(rng.Uniform(64))),
-                      Value::Int(static_cast<int32_t>(rng.Uniform(kExecDimRows))),
-                      Value::Double(static_cast<double>(rng.Uniform(1000)) / 1000.0),
-                      Value::String(std::string(kTags[rng.Uniform(4)]) + "-" +
-                                    std::to_string(rng.Uniform(1000)))});
-    }
-    d->Load("r", rows);
-    rows.clear();
-    for (int i = 0; i < kExecDimRows; ++i) {
-      rows.push_back({Value::Int(i),
-                      Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
-    }
-    d->Load("d", rows);
+    bench::LoadExecTables(*d);
     return d;
   }();
   return *db;
@@ -72,37 +49,31 @@ void RunExecBench(benchmark::State& state, const std::string& sql,
     benchmark::DoNotOptimize(r->rows);
   }
   // Throughput in base-table rows consumed per second.
-  state.SetItemsProcessed(state.iterations() * kExecRows);
+  state.SetItemsProcessed(state.iterations() * bench::kExecRows);
 }
 
 void BM_ExecSeqScan(benchmark::State& state) {
-  RunExecBench(state, "SELECT k, v FROM r",
-               static_cast<size_t>(kExecRows));
+  RunExecBench(state, bench::kExecSeqScan.sql,
+               static_cast<size_t>(bench::kExecRows));
 }
 BENCHMARK(BM_ExecSeqScan);
 
 void BM_ExecFilter(benchmark::State& state) {
-  // ~20% selectivity on the leading conjunct, then a double compare.
   static const size_t expected = [] {
-    auto r = ExecDb().conn->Execute(
-        "SELECT k FROM r WHERE k >= 10000 AND k < 20000 AND v < 0.9");
+    auto r = ExecDb().conn->Execute(bench::kExecFilter.sql);
     return r.ok() ? r->rows.size() : 0;
   }();
-  RunExecBench(state,
-               "SELECT k FROM r WHERE k >= 10000 AND k < 20000 AND v < 0.9",
-               expected);
+  RunExecBench(state, bench::kExecFilter.sql, expected);
 }
 BENCHMARK(BM_ExecFilter);
 
 void BM_ExecAggregate(benchmark::State& state) {
-  RunExecBench(state, "SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g", 64);
+  RunExecBench(state, bench::kExecAggregate.sql, 64);
 }
 BENCHMARK(BM_ExecAggregate);
 
 void BM_ExecHashJoin(benchmark::State& state) {
-  RunExecBench(state,
-               "SELECT COUNT(*) FROM r JOIN d ON r.j = d.id WHERE d.w < 100",
-               1);
+  RunExecBench(state, bench::kExecHashJoin.sql, 1);
 }
 BENCHMARK(BM_ExecHashJoin);
 

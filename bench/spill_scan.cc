@@ -8,11 +8,16 @@
 // k-way merge. Each workload is cross-checked against an unconstrained
 // run — a spilling plan that loses rows is a failure, not a slow pass.
 //
-// With an output path argument the bench also emits a flat JSON mapping
-// bench -> rows_per_sec (the BENCH_spill.json baseline format consumed by
-// scripts/bench_smoke.sh + bench_compare.py).
+// With an output path argument the bench also emits JSON in the
+// BENCH_spill.json format that scripts/bench_smoke.sh + bench_compare.py
+// read: bench -> rows_per_sec (a trajectory, never gated) plus a "work"
+// section with each workload's spill bytes written and read, spill
+// decisions and sort runs spilled. Those counts are the gate: the data
+// and the starved limits are fixed, so they repeat exactly on any host,
+// and the bench fails when its three repetitions disagree.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -56,6 +61,43 @@ void LoadWorkload(BenchDb& db) {
   db.Load("probe", rows);
 }
 
+// The deterministic spill work of one statement (BENCH_spill.json "work").
+struct SpillWork {
+  uint64_t spill_bytes_written = 0;
+  uint64_t spill_bytes_read = 0;
+  uint64_t spill_decisions = 0;
+  uint64_t sort_runs_spilled = 0;
+  bool operator==(const SpillWork&) const = default;
+};
+
+SpillWork WorkOf(const engine::QueryResult& r) {
+  return {r.exec_stats.spill_bytes_written, r.exec_stats.spill_bytes_read,
+          r.exec_stats.spill_decisions, r.exec_stats.sort_runs_spilled};
+}
+
+// Runs `sql` kReps times on `db`: best wall ms, the last result, and
+// whether every repetition did the same spill work.
+struct Timed {
+  double ms = 1e30;
+  engine::QueryResult got;
+  bool work_repeats = true;
+};
+
+Timed RunBestOf(BenchDb& db, const char* sql) {
+  // Best-of-3 keeps the printed rate clear of scheduler noise from
+  // whatever ran just before.
+  constexpr int kReps = 3;
+  Timed t;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double t0 = NowMs();
+    engine::QueryResult got = db.Exec(sql);
+    t.ms = std::min(t.ms, NowMs() - t0);
+    if (rep > 0 && !(WorkOf(got) == WorkOf(t.got))) t.work_repeats = false;
+    t.got = std::move(got);
+  }
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,28 +126,20 @@ int main(int argc, char** argv) {
   const auto want_sort = roomy.Exec(sort_sql);
 
   std::map<std::string, double> out;
+  std::map<std::string, SpillWork> work;
   PrintHeader({"bench", "soft_pages", "spilled_mb", "decisions", "correct",
                "ms", "rows_per_s"});
 
-  // Best-of-3 per workload: wall time under a 15% regression tolerance
-  // must not fold in scheduler noise from whatever ran just before.
-  constexpr int kReps = 3;
-
   {
-    double ms = 1e30;
-    engine::QueryResult got;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double t0 = NowMs();
-      got = starved.Exec(join_sql);
-      ms = std::min(ms, NowMs() - t0);
-    }
+    const auto [ms, got, work_repeats] = RunBestOf(starved, join_sql);
     const bool correct =
-        got.rows.size() == want_join.rows.size() &&
+        work_repeats && got.rows.size() == want_join.rows.size() &&
         got.rows[0][0].AsInt() == want_join.rows[0][0].AsInt() &&
         got.exec_stats.spill_bytes_written > 0 &&
         got.exec_stats.spill_decisions > 0;
     const double rps = (kBuildRows + kProbeRows) / (ms / 1000.0);
     out["spill_grace_join"] = rps;
+    work["spill_grace_join"] = WorkOf(got);
     PrintRow({"grace_join",
               std::to_string(starved.db->memory_governor().SoftLimitPages()),
               Fmt(got.exec_stats.spill_bytes_written / (1024.0 * 1024.0)),
@@ -115,14 +149,8 @@ int main(int argc, char** argv) {
   }
 
   {
-    double ms = 1e30;
-    engine::QueryResult got;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double t0 = NowMs();
-      got = starved.Exec(sort_sql);
-      ms = std::min(ms, NowMs() - t0);
-    }
-    bool correct = got.rows.size() == want_sort.rows.size() &&
+    const auto [ms, got, work_repeats] = RunBestOf(starved, sort_sql);
+    bool correct = work_repeats && got.rows.size() == want_sort.rows.size() &&
                    got.exec_stats.sort_runs_spilled > 0;
     for (size_t i = 1; correct && i < got.rows.size(); ++i) {
       if (got.rows[i][2].AsDouble() < got.rows[i - 1][2].AsDouble()) {
@@ -131,6 +159,7 @@ int main(int argc, char** argv) {
     }
     const double rps = kSortRows / (ms / 1000.0);
     out["spill_external_sort"] = rps;
+    work["spill_external_sort"] = WorkOf(got);
     PrintRow({"external_sort",
               std::to_string(starved.db->memory_governor().SoftLimitPages()),
               Fmt(got.exec_stats.spill_bytes_written / (1024.0 * 1024.0)),
@@ -148,10 +177,22 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n");
     size_t i = 0;
     for (const auto& [name, rps] : out) {
-      std::fprintf(f, "  \"%s\": %.1f%s\n", name.c_str(), rps,
-                   ++i < out.size() ? "," : "");
+      std::fprintf(f, "  \"%s\": %.1f,\n", name.c_str(), rps);
     }
-    std::fprintf(f, "}\n");
+    std::fprintf(f, "  \"work\": {\n    \"queries\": {\n");
+    for (const auto& [name, w] : work) {
+      std::fprintf(f,
+                   "      \"%s\": {\"spill_bytes_written\": %llu, "
+                   "\"spill_bytes_read\": %llu, \"spill_decisions\": %llu, "
+                   "\"sort_runs_spilled\": %llu}%s\n",
+                   name.c_str(),
+                   static_cast<unsigned long long>(w.spill_bytes_written),
+                   static_cast<unsigned long long>(w.spill_bytes_read),
+                   static_cast<unsigned long long>(w.spill_decisions),
+                   static_cast<unsigned long long>(w.sort_runs_spilled),
+                   ++i < work.size() ? "," : "");
+    }
+    std::fprintf(f, "    }\n  }\n}\n");
     std::fclose(f);
     std::printf("spill_scan: wrote %s\n", argv[1]);
   }

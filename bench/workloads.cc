@@ -81,6 +81,32 @@ void LoadZipfTable(BenchDb& db, const std::string& name, int n, int domain,
   db.Load(name, rows);
 }
 
+void LoadExecTables(BenchDb& db) {
+  db.Exec(
+      "CREATE TABLE r (k INT NOT NULL, g INT NOT NULL, j INT NOT NULL, "
+      "v DOUBLE, s VARCHAR(24))");
+  db.Exec("CREATE TABLE d (id INT NOT NULL, w INT NOT NULL)");
+  Rng rng(11);
+  std::vector<table::Row> rows;
+  rows.reserve(kExecRows);
+  static const char* kTags[] = {"alpha", "bravo", "carbon", "delta"};
+  for (int i = 0; i < kExecRows; ++i) {
+    rows.push_back({Value::Int(static_cast<int32_t>(rng.Uniform(50000))),
+                    Value::Int(static_cast<int32_t>(rng.Uniform(64))),
+                    Value::Int(static_cast<int32_t>(rng.Uniform(kExecDimRows))),
+                    Value::Double(static_cast<double>(rng.Uniform(1000)) / 1000.0),
+                    Value::String(std::string(kTags[rng.Uniform(4)]) + "-" +
+                                  std::to_string(rng.Uniform(1000)))});
+  }
+  db.Load("r", rows);
+  rows.clear();
+  for (int i = 0; i < kExecDimRows; ++i) {
+    rows.push_back({Value::Int(i),
+                    Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
+  }
+  db.Load("d", rows);
+}
+
 void PrintHeader(const std::vector<std::string>& columns) {
   for (const auto& c : columns) std::printf("%14s", c.c_str());
   std::printf("\n");

@@ -33,6 +33,32 @@ void LoadStarSchema(BenchDb& db, int dims, int fact_rows, int dim_rows,
 void LoadZipfTable(BenchDb& db, const std::string& name, int n, int domain,
                    double theta, uint64_t seed = 7);
 
+/// The executor benchmark data (DESIGN.md §9): a seeded `r` of
+/// kExecRows rows (k, g, j, v, s) and a `d` of kExecDimRows rows (id, w)
+/// that `r.j` joins. micro_operators times the kExecQueries over it and
+/// exec_work counts their work, so both measure the same rows and SQL.
+inline constexpr int kExecRows = 40000;
+inline constexpr int kExecDimRows = 1024;
+void LoadExecTables(BenchDb& db);
+
+/// One executor benchmark statement, keyed by its BENCH_exec.json name.
+struct ExecQuery {
+  const char* key;
+  const char* sql;
+};
+inline constexpr ExecQuery kExecSeqScan{"exec_seqscan", "SELECT k, v FROM r"};
+/// ~20% selectivity on the leading conjunct, then a double compare.
+inline constexpr ExecQuery kExecFilter{
+    "exec_filter",
+    "SELECT k FROM r WHERE k >= 10000 AND k < 20000 AND v < 0.9"};
+inline constexpr ExecQuery kExecAggregate{
+    "exec_aggregate", "SELECT g, COUNT(*), SUM(v) FROM r GROUP BY g"};
+inline constexpr ExecQuery kExecHashJoin{
+    "exec_hashjoin",
+    "SELECT COUNT(*) FROM r JOIN d ON r.j = d.id WHERE d.w < 100"};
+inline constexpr ExecQuery kExecQueries[] = {kExecSeqScan, kExecFilter,
+                                             kExecAggregate, kExecHashJoin};
+
 /// printf-style row helpers for aligned bench tables.
 void PrintHeader(const std::vector<std::string>& columns);
 void PrintRow(const std::vector<std::string>& cells);
