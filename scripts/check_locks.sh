@@ -26,6 +26,10 @@
 # Only src/common/lock_rank.* (the wrappers' own implementation) may name
 # the raw primitives. Comments and string literals are stripped before
 # matching so prose about std::mutex stays legal.
+#
+# It also fails when the rank table in DESIGN.md §8.1 drifts from the
+# LockRank enum in src/common/lock_rank.h: every rank value needs a table
+# row with that number, and every row needs a rank.
 set -u
 
 root="${1:?usage: check_locks.sh <repo-root>}"
@@ -67,8 +71,23 @@ while IFS= read -r -d '' file; do
 done < <(find "${scan_dirs[@]}" \( -name '*.h' -o -name '*.cc' \) -print0 |
          sort -z)
 
+code_ranks=$(sed -n 's/^ *k[A-Za-z0-9]* = \([0-9]*\),.*/\1/p' \
+               "$root/src/common/lock_rank.h" | sort)
+doc_ranks=$(awk -F'|' '/^### 8\.1 /{on=1; next} /^##/{on=0}
+                      on && $2 ~ /^ *[0-9]+ *$/ {gsub(/ /, "", $2); print $2}' \
+              "$root/DESIGN.md" | sort)
+if [[ -z "$code_ranks" || "$code_ranks" != "$doc_ranks" ]]; then
+  echo "check_locks: DESIGN.md §8.1 rank table and the LockRank enum in" \
+       "src/common/lock_rank.h disagree:" >&2
+  comm -3 <(echo "$code_ranks") <(echo "$doc_ranks") |
+    sed -e 's/^\t/  table row with no LockRank: /' \
+        -e 's/^\([0-9]\)/  LockRank with no table row: \1/' >&2
+  fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
 echo "check_locks: $checked files, every latch goes through the ranked" \
-     "wrappers (std::condition_variable_any excepted by design)"
+     "wrappers (std::condition_variable_any excepted by design);" \
+     "$(echo "$code_ranks" | wc -l) ranks match DESIGN.md §8.1"

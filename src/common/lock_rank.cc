@@ -67,10 +67,8 @@ const char* LockRankName(LockRank rank) {
       return "DecisionLog";
     case LockRank::kTracer:
       return "Tracer";
-    case LockRank::kTraceHook:
-      return "TraceHook";
-    case LockRank::kStatementShapes:
-      return "StatementShapes";
+    case LockRank::kNetProvider:
+      return "NetProvider";
     case LockRank::kStatementRegistry:
       return "StatementRegistry";
     case LockRank::kStatementTrace:

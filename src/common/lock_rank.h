@@ -68,9 +68,9 @@ enum class LockRank : uint16_t {
   kMemoryEnv = 145,         // os/memory_env.h (working-set accounting)
   kDecisionLog = 150,       // obs/decision_log.h (governor decision ring)
   kTracer = 155,            // profile/tracer.h (trace event buffer)
-  kTraceHook = 160,         // engine/database.h trace_mu_ (hook pointer)
-  kStatementShapes = 165,   // engine/database.h shapes_mu_ (statement stats)
-  kStatementRegistry = 168, // obs/trace.h (active/slow statement maps)
+  kNetProvider = 160,       // engine/database.h net_provider_mu_
+                            // (sys.connections provider pointer)
+  kStatementRegistry = 168, // obs/trace.h (active/slow/shape maps)
   kStatementTrace = 170,    // obs/trace.h per-statement span tree; highest
                             // rank so any subsystem can record a wait while
                             // holding its own latch

@@ -1,7 +1,6 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -51,13 +50,6 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
-}
-
-double WallMicros() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 uint64_t HashParams(const optimizer::ParamBindings& params) {
@@ -529,13 +521,12 @@ Result<std::vector<std::vector<Value>>> Database::VirtualTableRows(
       break;
     }
     case kSysStatements: {
-      LockGuard lock(shapes_mu_);
-      for (const auto& [shape, s] : statement_shapes_) {
+      for (const auto& [shape, s] : statement_registry_.ShapeSnapshot()) {
         rows.push_back(
             {Value::String(shape),
              Value::Bigint(static_cast<int64_t>(s.count)),
              Value::Double(s.total_micros),
-             Value::Double(s.count == 0 ? 0 : s.total_micros / s.count),
+             Value::Double(s.total_micros / s.count),
              Value::Bigint(static_cast<int64_t>(s.rows_returned))});
       }
       break;
@@ -584,12 +575,12 @@ Result<std::vector<std::vector<Value>>> Database::VirtualTableRows(
       break;
     }
     case kSysConnections: {
-      // Copy the provider under trace_mu_, invoke unlocked (the provider
-      // takes the net server's mutex, which ranks below trace_mu_ — the
-      // EmitTrace discipline). Empty when no network front end runs.
+      // Copy the provider under net_provider_mu_, invoke unlocked (the
+      // provider takes the net server's mutex, which ranks below it).
+      // Empty when no network front end runs.
       NetConnectionProvider provider;
       {
-        LockGuard lock(trace_mu_);
+        LockGuard lock(net_provider_mu_);
         provider = net_conn_provider_;
       }
       if (provider) {
@@ -607,21 +598,6 @@ Result<std::vector<std::vector<Value>>> Database::VirtualTableRows(
     }
   }
   return rows;
-}
-
-void Database::RecordStatementShape(const std::string& shape, double micros,
-                                    uint64_t rows) {
-  LockGuard lock(shapes_mu_);
-  // Bounded: an adversarial workload of unique shapes must not grow the
-  // map without limit.
-  if (statement_shapes_.size() >= 512 &&
-      statement_shapes_.find(shape) == statement_shapes_.end()) {
-    return;
-  }
-  ShapeStats& s = statement_shapes_[shape];
-  s.count++;
-  s.total_micros += micros;
-  s.rows_returned += rows;
 }
 
 std::string Database::TelemetrySnapshotJson() {
@@ -661,19 +637,16 @@ std::string Database::TelemetrySnapshotJson() {
   }
   out += "\n  ],\n  \"statements\": [";
   first = true;
-  {
-    LockGuard lock(shapes_mu_);
-    for (const auto& [shape, s] : statement_shapes_) {
-      if (!first) out += ",";
-      first = false;
-      std::snprintf(buf, sizeof(buf),
-                    ", \"count\": %llu, \"total_micros\": %.3f, "
-                    "\"rows_returned\": %llu}",
-                    static_cast<unsigned long long>(s.count), s.total_micros,
-                    static_cast<unsigned long long>(s.rows_returned));
-      out += "\n    {\"shape\": \"" + JsonEscape(shape) + "\"";
-      out += buf;
-    }
+  for (const auto& [shape, s] : statement_registry_.ShapeSnapshot()) {
+    if (!first) out += ",";
+    first = false;
+    std::snprintf(buf, sizeof(buf),
+                  ", \"count\": %llu, \"total_micros\": %.3f, "
+                  "\"rows_returned\": %llu}",
+                  static_cast<unsigned long long>(s.count), s.total_micros,
+                  static_cast<unsigned long long>(s.rows_returned));
+    out += "\n    {\"shape\": \"" + JsonEscape(shape) + "\"";
+    out += buf;
   }
   out += "\n  ]\n}";
   return out;
@@ -1185,13 +1158,12 @@ Result<QueryResult> Connection::ExecuteSelect(
   std::shared_ptr<const optimizer::PlanNode> plan_to_run;
   if (cache_key.empty()) {
     // Re-optimize at every invocation (paper §4.1).
-    const double opt_start = WallMicros();
+    const uint64_t opt_start = obs::TraceNowMicros();
     obs::ScopedSpan optimize_span(obs::kSpanOptimize);
     optimizer::Optimizer opt(MakeOptimizerContext());
     HDB_ASSIGN_OR_RETURN(optimizer::PlanPtr plan,
                          opt.Optimize(q, /*allow_bypass=*/false, &out->diag));
-    db_->optimize_hist_->Record(
-        static_cast<uint64_t>(std::max(0.0, WallMicros() - opt_start)));
+    db_->optimize_hist_->Record(obs::TraceNowMicros() - opt_start);
     plan_to_run = std::shared_ptr<const optimizer::PlanNode>(std::move(plan));
   } else {
     const auto decision = plan_cache_.OnInvocation(cache_key);
@@ -1199,14 +1171,13 @@ Result<QueryResult> Connection::ExecuteSelect(
       plan_to_run = decision.plan;
       out->used_cached_plan = true;
     } else {
-      const double opt_start = WallMicros();
+      const uint64_t opt_start = obs::TraceNowMicros();
       obs::ScopedSpan optimize_span(obs::kSpanOptimize);
       optimizer::Optimizer opt(MakeOptimizerContext());
       HDB_ASSIGN_OR_RETURN(
           optimizer::PlanPtr plan,
           opt.Optimize(q, /*allow_bypass=*/false, &out->diag));
-      db_->optimize_hist_->Record(
-          static_cast<uint64_t>(std::max(0.0, WallMicros() - opt_start)));
+      db_->optimize_hist_->Record(obs::TraceNowMicros() - opt_start);
       plan_to_run = plan_cache_.OnPlanReady(
           cache_key,
           std::shared_ptr<const optimizer::PlanNode>(std::move(plan)));
@@ -1249,7 +1220,6 @@ Result<QueryResult> Connection::ExecuteSelect(
   if (obs::StatementTrace* trace = obs::CurrentStatementTrace();
       trace != nullptr) {
     trace->SetQuotaPages(db_->memory_governor().SoftLimitPages());
-    trace->SetRows(ec.stats.rows_scanned, ec.stats.rows_output);
     // Materializing the plan text costs an allocation per statement, so
     // only statements already past the slow threshold pay for it.
     const uint64_t elapsed = obs::TraceNowMicros() - trace->start_micros();
@@ -1513,7 +1483,7 @@ Result<QueryResult> Connection::ExecuteCall(
     params.emplace_back(proc->param_names[i], std::move(v));
   }
 
-  const double start = WallMicros();
+  const uint64_t start = obs::TraceNowMicros();
   QueryResult out;
   for (size_t s = 0; s < proc->statements.size(); ++s) {
     HDB_ASSIGN_OR_RETURN(StatementAst stmt, Parse(proc->statements[s]));
@@ -1538,30 +1508,29 @@ Result<QueryResult> Connection::ExecuteCall(
   // Procedure invocation statistics: moving average + per-parameter
   // variants (paper §3.2).
   db_->proc_stats().Record(proc->name, HashParams(params),
-                           WallMicros() - start,
+                           static_cast<double>(obs::TraceNowMicros() - start),
                            static_cast<double>(out.rows.size()));
   return out;
 }
 
 Result<QueryResult> Connection::Execute(const std::string& sql,
                                         const std::vector<Value>& params) {
-  // Statement lifecycle trace (DESIGN.md §11): one per statement, unless
-  // the network front end installed its own (the null-aware
-  // ScopedCurrentTrace then leaves that one current).
+  // Statement lifecycle trace (DESIGN.md §11): a registry entry unless a
+  // net worker already made one current. The handle outlives the scope,
+  // so End runs the completion subscriber with no trace current.
   obs::StatementRegistry::Handle stmt_trace;
-  if (!external_trace_) {
-    stmt_trace =
-        db_->statement_registry().Begin(conn_id_, NormalizeStatement(sql));
+  if (obs::CurrentStatementTrace() == nullptr) {
+    stmt_trace = db_->statement_registry().Begin(
+        conn_id_, NormalizeStatement(sql), sql);
   }
   obs::ScopedCurrentTrace trace_scope(stmt_trace.trace());
 
-  const double parse_start = WallMicros();
+  const uint64_t parse_start = obs::TraceNowMicros();
   Result<StatementAst> parsed = [&] {
     obs::ScopedSpan parse_span(obs::kSpanParse);
     return Parse(sql);
   }();
-  db_->parse_hist_->Record(
-      static_cast<uint64_t>(std::max(0.0, WallMicros() - parse_start)));
+  db_->parse_hist_->Record(obs::TraceNowMicros() - parse_start);
   if (!parsed.ok()) {
     db_->stmt_errors_->Add();
     stmt_trace.set_ok(false);
@@ -1634,25 +1603,18 @@ Result<QueryResult> Connection::Execute(const std::string& sql,
     ticket = std::move(*admitted);
   }
 
-  const double exec_start = WallMicros();
+  const uint64_t exec_start = obs::TraceNowMicros();
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     obs::ScopedSpan execute_span(obs::kSpanExecute);
     if (is_ddl) {
       UniqueLock ddl(db_->ddl_mu_);
-      return ExecuteParsed(stmt, sql, bindings);
+      return ExecuteParsed(stmt, bindings);
     }
     SharedLock ddl(db_->ddl_mu_);
-    return ExecuteParsed(stmt, sql, bindings);
+    return ExecuteParsed(stmt, bindings);
   }();
-  const double exec_micros = WallMicros() - exec_start;
-  db_->execute_hist_->Record(
-      static_cast<uint64_t>(std::max(0.0, exec_micros)));
-  if (result.ok()) {
-    db_->RecordStatementShape(NormalizeStatement(sql), exec_micros,
-                              result->rows.size());
-  } else {
-    db_->stmt_errors_->Add();
-  }
+  db_->execute_hist_->Record(obs::TraceNowMicros() - exec_start);
+  if (!result.ok()) db_->stmt_errors_->Add();
   stmt_trace.set_ok(result.ok());
 
   if (gated) {
@@ -1662,22 +1624,12 @@ Result<QueryResult> Connection::Execute(const std::string& sql,
     db_->mpl_controller().OnRequestComplete();
     if (db_->mpl_controller().MaybeAdapt()) db_->admission_gate().Poke();
   }
-
-  // Emit traces only now, with latch and slot released: the hook may run
-  // SQL of its own (e.g. the profiler's same-database trace sink).
-  for (const TraceEvent& ev : pending_traces_) db_->EmitTrace(ev);
-  pending_traces_.clear();
   return result;
 }
 
 Result<QueryResult> Connection::ExecuteParsed(
-    StatementAst& stmt, const std::string& sql,
-    const optimizer::ParamBindings& params) {
-  const double start = WallMicros();
+    StatementAst& stmt, const optimizer::ParamBindings& params) {
   QueryResult out;
-  TraceEvent ev;
-  ev.sql = sql;
-  ev.params_hash = HashParams(params);
 
   if (std::holds_alternative<SelectAst>(stmt)) {
     // Ad hoc statements pass no cache key: re-optimized every time (§4.1).
@@ -1736,7 +1688,6 @@ Result<QueryResult> Connection::ExecuteParsed(
     HDB_RETURN_IF_ERROR(db_->catalog().CreateProcedure(std::move(def)));
   } else if (std::holds_alternative<CallAst>(stmt)) {
     HDB_ASSIGN_OR_RETURN(out, ExecuteCall(std::get<CallAst>(stmt), params));
-    ev.from_procedure = true;
   } else if (std::holds_alternative<DropAst>(stmt)) {
     const auto& d = std::get<DropAst>(stmt);
     if (d.kind == DropAst::kTable) {
@@ -1777,11 +1728,14 @@ Result<QueryResult> Connection::ExecuteParsed(
     }
   }
 
-  ev.elapsed_micros = WallMicros() - start;
-  ev.rows_returned = out.rows.size();
-  ev.rows_scanned = out.exec_stats.rows_scanned;
-  ev.bypassed_optimizer = out.diag.bypassed;
-  pending_traces_.push_back(std::move(ev));
+  // StatementRegistry::End hands these to sys.statements and the tracer.
+  if (obs::StatementTrace* trace = obs::CurrentStatementTrace();
+      trace != nullptr) {
+    trace->SetRows(out.exec_stats.rows_scanned, out.rows.size());
+    trace->SetOutcome({HashParams(params),
+                       std::holds_alternative<CallAst>(stmt),
+                       out.diag.bypassed});
+  }
   return out;
 }
 

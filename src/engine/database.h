@@ -106,23 +106,6 @@ struct QueryResult {
   bool used_cached_plan = false;
 };
 
-/// One request observed by the engine; the Application Profiling module
-/// subscribes to these (paper §5 — the "detailed trace of all server
-/// activity", transported in-process instead of over TCP/IP).
-struct TraceEvent {
-  std::string sql;
-  double elapsed_micros = 0;
-  uint64_t rows_returned = 0;
-  uint64_t rows_scanned = 0;
-  std::string plan_fingerprint;
-  bool bypassed_optimizer = false;
-  bool from_procedure = false;
-  /// Hash of the values bound to the statement's placeholders. Prepared
-  /// executions share one `sql` text, so (sql, params_hash) is what tells
-  /// distinct constants apart (the §5 client-side-join signal).
-  uint64_t params_hash = 0;
-};
-
 class Connection;
 
 /// An embedded HolisticDB server instance: storage, governors, statistics,
@@ -209,15 +192,6 @@ class Database {
   /// catalog (paper §4.2).
   Status Calibrate(const os::CalibrationOptions& opts = {});
 
-  /// Subscribe to request traces (Application Profiling, §5). May be
-  /// called while other threads execute; the hook itself must be
-  /// thread-safe (it runs on whichever session thread finished a request).
-  using TraceHook = std::function<void(const TraceEvent&)>;
-  void set_trace_hook(TraceHook hook) {
-    LockGuard lock(trace_mu_);
-    trace_hook_ = std::move(hook);
-  }
-
   /// One row of sys.connections, produced by the network front end (the
   /// engine knows nothing about sockets; net/ knows nothing about virtual
   /// tables — this struct is the seam).
@@ -233,10 +207,10 @@ class Database {
   };
   using NetConnectionProvider = std::function<std::vector<NetConnectionInfo>()>;
   /// Installed by net::Server at Start, cleared at Stop. The provider is
-  /// copied out and invoked UNLOCKED (same discipline as EmitTrace): it
-  /// takes the server's own mutex, which ranks below trace_mu_.
+  /// copied out and invoked UNLOCKED: it takes the server's own mutex,
+  /// which ranks below net_provider_mu_.
   void set_net_connection_provider(NetConnectionProvider provider) {
-    LockGuard lock(trace_mu_);
+    LockGuard lock(net_provider_mu_);
     net_conn_provider_ = std::move(provider);
   }
 
@@ -259,10 +233,6 @@ class Database {
   Status RegisterSysTables();
   /// Materializes the live rows of one `sys.*` table (executor callback).
   Result<std::vector<std::vector<Value>>> VirtualTableRows(uint32_t oid);
-  /// Per-shape statement statistics (sys.statements, paper §5's workload
-  /// view). `shape` is engine::NormalizeStatement(sql).
-  void RecordStatementShape(const std::string& shape, double micros,
-                            uint64_t rows);
 
   // DDL bodies; callers hold ddl_mu_ exclusively. The REQUIRES makes that
   // contract machine-checked everywhere except Connection::ExecuteParsed,
@@ -285,15 +255,6 @@ class Database {
   /// Post-recovery derived state: indexes are rebuilt from the heaps (index
   /// pages are not logged) and row counts re-derived by scanning.
   Status RebuildAfterRecovery();
-
-  void EmitTrace(const TraceEvent& ev) {
-    TraceHook hook;
-    {
-      LockGuard lock(trace_mu_);
-      hook = trace_hook_;
-    }
-    if (hook) hook(ev);
-  }
 
   DatabaseOptions options_;
   os::VirtualClock clock_;
@@ -336,23 +297,14 @@ class Database {
   std::map<uint32_t, std::unique_ptr<index::BTree>> btrees_
       GUARDED_BY(objects_mu_);
 
-  mutable RankedMutex<LockRank::kTraceHook> trace_mu_;
-  TraceHook trace_hook_ GUARDED_BY(trace_mu_);
-  NetConnectionProvider net_conn_provider_ GUARDED_BY(trace_mu_);
+  mutable RankedMutex<LockRank::kNetProvider> net_provider_mu_;
+  NetConnectionProvider net_conn_provider_ GUARDED_BY(net_provider_mu_);
   std::atomic<int> connections_{0};
   std::atomic<uint64_t> next_conn_id_{1};
 
   // --- Telemetry (DESIGN.md §6) ---
   /// Virtual-table oid → sys table index (order of kSysTableNames).
   std::map<uint32_t, int> sys_tables_;
-
-  struct ShapeStats {
-    uint64_t count = 0;
-    double total_micros = 0;
-    uint64_t rows_returned = 0;
-  };
-  mutable RankedMutex<LockRank::kStatementShapes> shapes_mu_;
-  std::map<std::string, ShapeStats> statement_shapes_ GUARDED_BY(shapes_mu_);
 
   // Statement counters and phase-latency histograms (registered in Init;
   // stable pointers for the Database's lifetime).
@@ -409,6 +361,10 @@ class Connection {
   /// rules). Values fold in as typed literals; nothing is spliced into
   /// text. May block in the admission gate; returns kOverloaded if the
   /// queue wait times out.
+  ///
+  /// The statement gets its own registry entry (DESIGN.md §11) unless a
+  /// trace is already current on this thread: a net worker opens the
+  /// entry itself so that it also covers result encoding and flush.
   Result<QueryResult> Execute(const std::string& sql,
                               const std::vector<Value>& params = {});
 
@@ -423,15 +379,6 @@ class Connection {
   /// True between an explicit BEGIN and its COMMIT/ROLLBACK. Owning-thread
   /// read only (net/ mirrors it into an atomic for sys.connections).
   bool in_explicit_txn() const { return txn_ != nullptr; }
-
-  /// Network front end mode: the caller (a net/ worker) owns the
-  /// statement-registry handle and installs the trace on its thread
-  /// itself, so the trace also covers result serialization and
-  /// write-backpressure stalls after Execute returns. Execute then skips
-  /// Begin and attributes to the caller's installed trace.
-  void set_external_statement_trace(bool external) {
-    external_trace_ = external;
-  }
 
  private:
   friend class Database;
@@ -448,7 +395,6 @@ class Connection {
   /// intra-procedural analysis (DESIGN.md §8.4); the runtime rank
   /// checker still covers the latch itself.
   Result<QueryResult> ExecuteParsed(StatementAst& stmt,
-                                    const std::string& sql,
                                     const optimizer::ParamBindings& params)
       NO_THREAD_SAFETY_ANALYSIS;
 
@@ -503,12 +449,6 @@ class Connection {
   /// Scratch row reused by ApplyUndo across undo records (decode-into,
   /// no per-record allocation churn). Connections are single-threaded.
   table::Row undo_scratch_row_;
-  /// See set_external_statement_trace().
-  bool external_trace_ = false;
-  /// Trace events collected while the DDL latch is held; emitted by the
-  /// top-level Execute after the latch drops, so a trace hook may itself
-  /// execute SQL (the profiler's same-database sink does).
-  std::vector<TraceEvent> pending_traces_;
 };
 
 }  // namespace hdb::engine

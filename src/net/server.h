@@ -84,7 +84,7 @@ class Server {
   /// Binds, registers net.* metrics and the sys.connections provider on
   /// `db`, and starts the event loop + workers. `db` must outlive the
   /// server; stop the server before closing the database (the provider
-  /// and metric callbacks reach into it, like a profiler trace hook).
+  /// and metric callbacks reach into it, like a profiler subscriber).
   static Result<std::unique_ptr<Server>> Start(engine::Database* db,
                                                ServerOptions options);
   ~Server();

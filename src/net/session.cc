@@ -23,10 +23,6 @@ Result<std::unique_ptr<Session>> Session::Create(engine::Database* db,
                                                  SessionCounters counters) {
   HDB_ASSIGN_OR_RETURN(std::unique_ptr<engine::Connection> conn,
                        db->Connect());
-  // The worker owns the statement trace (Begin + ScopedCurrentTrace in
-  // RunStatement) so it also covers result serialization; Execute must
-  // not open its own.
-  conn->set_external_statement_trace(true);
   return std::unique_ptr<Session>(new Session(db, std::move(conn),
                                               std::move(peer),
                                               std::move(options), counters));
@@ -317,24 +313,25 @@ SessionAction Session::RunStatement(const std::string& sql,
   }
 
   // The trace is worker-owned so it brackets Execute AND the result
-  // serialization below — a client that stops reading shows up as
+  // encoding below — a client that stops reading shows up as
   // wait.net_write on this statement, not as unattributed server time.
-  obs::StatementRegistry::Handle stmt = db_->statement_registry().Begin(
-      conn_->conn_id(), engine::NormalizeStatement(sql));
-  obs::ScopedCurrentTrace trace_scope(stmt.trace());
+  // Execute finds it current and opens no entry of its own. The statement
+  // ends before its last frames are handed to the connection, so a client
+  // holding its reply also finds the statement in sys.statements and the
+  // §5 tracer. The handle outlives the scope, so its End (which may run
+  // the tracer's sink SQL) sees no current trace.
+  bool aborted = false;
+  {
+    obs::StatementRegistry::Handle stmt = db_->statement_registry().Begin(
+        conn_->conn_id(), engine::NormalizeStatement(sql), sql);
+    obs::ScopedCurrentTrace trace_scope(stmt.trace());
 
-  Result<engine::QueryResult> result = conn_->Execute(sql, params);
-  in_txn_.store(conn_->in_explicit_txn(), std::memory_order_relaxed);
-  stmt.set_ok(result.ok());
-  if (!result.ok()) {
-    WriteStatusFrame(result.status(), &out);
-    sink->Write(out);
-    return SessionAction::kContinue;
-  }
-
-  const engine::QueryResult& q = *result;
-  const bool aborted = [&] {
-    if (!q.columns.empty()) {
+    Result<engine::QueryResult> result = conn_->Execute(sql, params);
+    in_txn_.store(conn_->in_explicit_txn(), std::memory_order_relaxed);
+    stmt.set_ok(result.ok());
+    if (!result.ok()) {
+      WriteStatusFrame(result.status(), &out);
+    } else if (const engine::QueryResult& q = *result; !q.columns.empty()) {
       // Result set: header, rows (staged), done.
       std::string payload;
       PutU16(&payload, static_cast<uint16_t>(q.columns.size()));
@@ -346,7 +343,8 @@ SessionAction Session::RunStatement(const std::string& sql,
         for (const Value& v : row) PutValue(&payload, v);
         AppendFrame(&out, Opcode::kRow, payload);
         if (out.size() >= options_.flush_stage_bytes) {
-          if (!sink->Write(out)) return true;
+          aborted = !sink->Write(out);
+          if (aborted) break;
           out.clear();
         }
       }
@@ -374,9 +372,9 @@ SessionAction Session::RunStatement(const std::string& sql,
       // DML / DDL / transaction control: no result set.
       AppendDoneFrame(&out, q.rows_affected, 0);
     }
-    return !sink->Write(out);
-  }();
-  return aborted ? SessionAction::kCloseNow : SessionAction::kContinue;
+  }
+  if (aborted || !sink->Write(out)) return SessionAction::kCloseNow;
+  return SessionAction::kContinue;
 }
 
 void Session::WriteStatusFrame(const Status& s, std::string* out) {

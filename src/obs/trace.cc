@@ -9,9 +9,28 @@
 
 namespace hdb::obs {
 
-namespace trace_internal {
+namespace {
+
+// Touched only here, never inline from another unit: there GCC's UBSan
+// null check branches on the flags of `add x@gottpoff(%rip)`, which GNU ld
+// relaxes to a flag-less `lea`, a false "null load" (DESIGN.md §8.3).
 thread_local StatementTrace* tl_current_trace = nullptr;
-}  // namespace trace_internal
+
+}  // namespace
+
+StatementTrace* CurrentStatementTrace() { return tl_current_trace; }
+
+ScopedCurrentTrace::ScopedCurrentTrace(StatementTrace* trace) {
+  if (trace != nullptr) {
+    prev_ = tl_current_trace;
+    tl_current_trace = trace;
+    active_ = true;
+  }
+}
+
+ScopedCurrentTrace::~ScopedCurrentTrace() {
+  if (active_) tl_current_trace = prev_;
+}
 
 const char* WaitCauseName(WaitCause cause) {
   switch (cause) {
@@ -177,13 +196,8 @@ void StatementTrace::SetQuotaPages(uint64_t pages) {
 }
 
 void StatementTrace::SetRows(uint64_t scanned, uint64_t output) {
-#ifndef HDB_NO_TELEMETRY
   rows_scanned_.store(scanned, std::memory_order_relaxed);
   rows_output_.store(output, std::memory_order_relaxed);
-#else
-  (void)scanned;
-  (void)output;
-#endif
 }
 
 void StatementTrace::SetPlan(std::string plan) {
@@ -326,12 +340,14 @@ void StatementRegistry::Handle::Finish() {
 }
 
 StatementRegistry::Handle StatementRegistry::Begin(uint64_t conn_id,
-                                                   std::string shape) {
+                                                   std::string shape,
+                                                   std::string_view sql) {
   const uint64_t id = next_stmt_id_.fetch_add(1, std::memory_order_relaxed);
   auto trace =
       std::make_shared<StatementTrace>(id, conn_id, std::move(shape));
   {
     LockGuard lock(mu_);
+    if (subscriber_) trace->sql_.assign(sql);
     active_.emplace(id, trace);
   }
   Handle h;
@@ -392,16 +408,34 @@ void StatementRegistry::End(const std::shared_ptr<StatementTrace>& trace,
     if (slow_captured_counter_ != nullptr) slow_captured_counter_->Add();
   }
 
-  LockGuard lock(mu_);
-  active_.erase(trace->stmt_id());
-  if (slow) {
-    if (slow_ring_.size() < opts_.slow_ring_capacity) {
-      slow_ring_.push_back(std::move(capture));
-    } else if (opts_.slow_ring_capacity > 0) {
-      slow_ring_[slow_seq_ % opts_.slow_ring_capacity] = std::move(capture);
+  CompletionSubscriber subscriber;
+  {
+    LockGuard lock(mu_);
+    active_.erase(trace->stmt_id());
+    if (slow) {
+      if (slow_ring_.size() < opts_.slow_ring_capacity) {
+        slow_ring_.push_back(std::move(capture));
+      } else if (opts_.slow_ring_capacity > 0) {
+        slow_ring_[slow_seq_ % opts_.slow_ring_capacity] = std::move(capture);
+      }
+      ++slow_seq_;
     }
-    ++slow_seq_;
+    if (!ok) return;  // a failure counts nowhere but the slow ring
+    if (shapes_.size() < kMaxShapes || shapes_.count(trace->shape()) > 0) {
+      ShapeTotals& s = shapes_[trace->shape()];
+      s.count++;
+      s.total_micros += static_cast<double>(elapsed);
+      s.rows_returned += trace->rows_output();
+    }
+    subscriber = subscriber_;
   }
+  // Unlatched: the subscriber may run SQL (the self-tracing profiler sink).
+  if (subscriber) subscriber(*trace, elapsed);
+}
+
+void StatementRegistry::Subscribe(CompletionSubscriber subscriber) {
+  LockGuard lock(mu_);
+  subscriber_ = std::move(subscriber);
 }
 
 std::vector<std::shared_ptr<const StatementTrace>>
@@ -423,6 +457,11 @@ std::vector<SlowStatement> StatementRegistry::SlowSnapshot() const {
     out.push_back(slow_ring_[seq % cap]);
   }
   return out;
+}
+
+std::map<std::string, ShapeTotals> StatementRegistry::ShapeSnapshot() const {
+  LockGuard lock(mu_);
+  return shapes_;
 }
 
 uint64_t StatementRegistry::active_count() const {

@@ -4,9 +4,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/lock_rank.h"
@@ -65,9 +67,8 @@ inline constexpr int kWaitCauseCount = 7;
 /// The wait.* name for a cause (bijection onto span_names.h).
 const char* WaitCauseName(WaitCause cause);
 
-/// Steady-clock microseconds since process start; the time base for every
-/// span/wait timestamp (mirrors engine WallMicros, but obs/ cannot depend
-/// on engine/).
+/// Steady-clock microseconds; the one time base for every span/wait
+/// timestamp and every engine latency sample.
 uint64_t TraceNowMicros();
 
 /// One node of a statement's span tree. `name` points at a span_names.h
@@ -89,6 +90,14 @@ struct WaitEvent {
   uint64_t resource = 0;  // lock key / LSN / page id / bytes — cause-typed
   uint64_t start_micros = 0;
   uint64_t duration_micros = 0;
+};
+
+/// How a completed statement ran, beyond its row counts (the §5 request
+/// tracer's fields; see profile::TraceEvent).
+struct StatementOutcome {
+  uint64_t params_hash = 0;
+  bool from_procedure = false;
+  bool bypassed_optimizer = false;
 };
 
 class StatementTrace {
@@ -120,13 +129,20 @@ class StatementTrace {
   void AccumulateWait(WaitCause cause, uint64_t duration_micros);
   void AddSpilledBytes(uint64_t bytes);
   void SetQuotaPages(uint64_t pages);
-  void SetRows(uint64_t scanned, uint64_t output);
   void SetPlan(std::string plan);
+
+  // --- Completion fields, set once by the owning thread. Never compiled
+  // out: sys.statements and the §5 tracer are paper mechanisms.
+  void SetRows(uint64_t scanned, uint64_t output);
+  void SetOutcome(const StatementOutcome& outcome) { outcome_ = outcome; }
 
   // --- Read side (any thread) -------------------------------------------
   uint64_t stmt_id() const { return stmt_id_; }
   uint64_t conn_id() const { return conn_id_; }
   const std::string& shape() const { return shape_; }  // immutable
+  /// Empty unless a completion subscriber was attached at Begin.
+  const std::string& sql() const { return sql_; }
+  const StatementOutcome& outcome() const { return outcome_; }  // owner
   uint64_t start_micros() const { return start_micros_; }
   uint64_t wait_micros(WaitCause cause) const;
   uint64_t wait_count(WaitCause cause) const;
@@ -146,10 +162,15 @@ class StatementTrace {
   std::string RenderSpanTree() const;
 
  private:
+  friend class StatementRegistry;
+
   const uint64_t stmt_id_;
   const uint64_t conn_id_;
   const std::string shape_;
   const uint64_t start_micros_;
+  // Written by StatementRegistry::Begin before the trace is published.
+  std::string sql_;
+  StatementOutcome outcome_;
 
   // Lock-free tallies: safe to bump while holding any subsystem latch.
   std::array<std::atomic<uint64_t>, kWaitCauseCount> wait_micros_{};
@@ -174,31 +195,17 @@ class StatementTrace {
 
 // --- Thread-local current statement ---------------------------------------
 
-namespace trace_internal {
-extern thread_local StatementTrace* tl_current_trace;
-}  // namespace trace_internal
-
 /// Trace of the statement executing on this thread (null on worker/flusher
 /// threads and outside statement execution).
-inline StatementTrace* CurrentStatementTrace() {
-  return trace_internal::tl_current_trace;
-}
+StatementTrace* CurrentStatementTrace();
 
 /// Installs `trace` as the thread's current statement for a scope.
-/// Passing null leaves the slot untouched (a nested procedure-body
-/// statement keeps attributing to the outer statement's trace).
+/// Passing null leaves the slot untouched (a statement that finds a trace
+/// already current keeps attributing to it).
 class ScopedCurrentTrace {
  public:
-  explicit ScopedCurrentTrace(StatementTrace* trace) {
-    if (trace != nullptr) {
-      prev_ = trace_internal::tl_current_trace;
-      trace_internal::tl_current_trace = trace;
-      active_ = true;
-    }
-  }
-  ~ScopedCurrentTrace() {
-    if (active_) trace_internal::tl_current_trace = prev_;
-  }
+  explicit ScopedCurrentTrace(StatementTrace* trace);
+  ~ScopedCurrentTrace();
   ScopedCurrentTrace(const ScopedCurrentTrace&) = delete;
   ScopedCurrentTrace& operator=(const ScopedCurrentTrace&) = delete;
 
@@ -309,12 +316,28 @@ struct StatementRegistryOptions {
   uint64_t min_samples_for_p99 = 64;
 };
 
-/// Owns the active-statement map and the slow-statement ring; one per
-/// Database. The slow threshold is zero-knob: max(floor, statement-latency
-/// p99) once enough samples exist, so "slow" self-calibrates to the
-/// workload instead of a DBA-set cutoff (the paper's §4 governor stance).
+/// Per-shape totals of successful statements (sys.statements).
+struct ShapeTotals {
+  uint64_t count = 0;
+  double total_micros = 0;  // Begin→End
+  uint64_t rows_returned = 0;
+};
+
+/// Owns the active-statement map, the slow-statement ring and the
+/// per-shape totals; one per Database. The slow threshold is zero-knob:
+/// max(floor, statement-latency p99) once enough samples exist, so "slow"
+/// self-calibrates to the workload instead of a DBA-set cutoff (the
+/// paper's §4 governor stance).
 class StatementRegistry {
  public:
+  /// Bounds the shape map against a workload of unique shapes.
+  static constexpr size_t kMaxShapes = 512;
+
+  /// Gets each successful statement and its Begin→End time, on the
+  /// finishing thread, unlatched and with no trace current: it may run SQL.
+  using CompletionSubscriber =
+      std::function<void(const StatementTrace&, uint64_t elapsed_micros)>;
+
   explicit StatementRegistry(StatementRegistryOptions opts = {});
 
   /// Registers the trace.*/stmt.* series and the latency histogram the
@@ -323,8 +346,9 @@ class StatementRegistry {
                        LatencyHistogram* statement_latency);
 
   /// RAII statement registration: Begin() → run → handle destruction
-  /// ends the statement, updates counters, and captures it into the slow
-  /// ring if it crossed the threshold.
+  /// ends the statement (End, the one place a completion is recorded):
+  /// counters, the slow ring past the threshold and, if it succeeded, its
+  /// shape's totals and the completion subscriber.
   class Handle {
    public:
     Handle() = default;
@@ -356,7 +380,13 @@ class StatementRegistry {
     bool ok_ = true;
   };
 
-  Handle Begin(uint64_t conn_id, std::string shape);
+  /// `sql` is copied into the trace only while a completion subscriber
+  /// is attached. Finish the handle after its trace stops being current.
+  Handle Begin(uint64_t conn_id, std::string shape, std::string_view sql = {});
+
+  /// Installs the one completion subscriber; empty removes it. A statement
+  /// that already copied the old one may still deliver to it.
+  void Subscribe(CompletionSubscriber subscriber);
 
   /// Current auto-tuned slow threshold (µs).
   uint64_t SlowThresholdMicros() const;
@@ -370,6 +400,8 @@ class StatementRegistry {
   std::vector<std::shared_ptr<const StatementTrace>> ActiveSnapshot() const;
   /// Captured slow statements, oldest first (sys.slow_statements).
   std::vector<SlowStatement> SlowSnapshot() const;
+  /// Per-shape totals, shape order (sys.statements).
+  std::map<std::string, ShapeTotals> ShapeSnapshot() const;
   uint64_t active_count() const;
 
   /// Chrome/Perfetto trace-event JSON ("traceEvents" array of complete
@@ -388,6 +420,9 @@ class StatementRegistry {
   std::vector<SlowStatement> slow_ring_ GUARDED_BY(mu_);
   // Total captures ever.
   uint64_t slow_seq_ GUARDED_BY(mu_) = 0;
+  // At most kMaxShapes entries.
+  std::map<std::string, ShapeTotals> shapes_ GUARDED_BY(mu_);
+  CompletionSubscriber subscriber_ GUARDED_BY(mu_);
 
   // Telemetry (null until AttachTelemetry). Set once before concurrent
   // statement traffic, read lock-free afterwards — deliberately not

@@ -7,7 +7,7 @@
 namespace hdb::profile {
 
 std::vector<Finding> WorkloadAnalyzer::Analyze(
-    const std::vector<engine::TraceEvent>& events,
+    const std::vector<TraceEvent>& events,
     engine::Database* db) const {
   std::vector<Finding> findings;
 
@@ -22,11 +22,9 @@ std::vector<Finding> WorkloadAnalyzer::Analyze(
     uint64_t returned = 0;
   };
   std::map<std::string, ShapeStats> shapes;
-  for (const engine::TraceEvent& ev : events) {
-    if (ev.sql.rfind("SELECT", 0) != 0 && ev.sql.rfind("select", 0) != 0) {
-      continue;
-    }
-    ShapeStats& s = shapes[NormalizeStatement(ev.sql)];
+  for (const TraceEvent& ev : events) {
+    if (ev.shape.rfind("SELECT", 0) != 0) continue;
+    ShapeStats& s = shapes[ev.shape];
     s.count++;
     s.variants.emplace(ev.sql, ev.params_hash);
     s.elapsed += ev.elapsed_micros;

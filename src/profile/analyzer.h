@@ -47,7 +47,7 @@ class WorkloadAnalyzer {
   WorkloadAnalyzer() : WorkloadAnalyzer(Options{}) {}
 
   /// Analyzes trace events plus the database's options.
-  std::vector<Finding> Analyze(const std::vector<engine::TraceEvent>& events,
+  std::vector<Finding> Analyze(const std::vector<TraceEvent>& events,
                                engine::Database* db) const;
 
  private:

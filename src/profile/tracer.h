@@ -14,6 +14,25 @@
 
 namespace hdb::profile {
 
+/// One completed request (paper §5 — the "detailed trace of all server
+/// activity", transported in-process instead of over TCP/IP), built from
+/// the statement registry's completion record.
+struct TraceEvent {
+  std::string sql;
+  std::string shape;  // engine::NormalizeStatement(sql), from Begin
+  /// Begin→End: parse, admission wait and execute; over the wire also
+  /// result encoding.
+  double elapsed_micros = 0;
+  uint64_t rows_returned = 0;
+  uint64_t rows_scanned = 0;
+  bool bypassed_optimizer = false;
+  bool from_procedure = false;
+  /// Hash of the values bound to the statement's placeholders. Prepared
+  /// executions share one `sql` text, so (sql, params_hash) is what tells
+  /// distinct constants apart (the §5 client-side-join signal).
+  uint64_t params_hash = 0;
+};
+
 /// Captures a detailed trace of all server activity (paper §5). The trace
 /// can be held in memory and/or *written into another HolisticDB
 /// database* — the paper's architecture, where the trace streams (there,
@@ -21,8 +40,9 @@ namespace hdb::profile {
 /// Anywhere database for analysis, including the monitored database
 /// itself (convenience) or a separate one (performance).
 ///
-/// Thread safety: the hook runs on whichever session thread finished a
-/// request, so any number of threads may deliver events concurrently.
+/// Thread safety: as the statement registry's completion subscriber it
+/// runs on whichever session or net worker thread finished a request, so
+/// any number of threads may deliver events concurrently.
 /// Sink writes are batched (one multi-row INSERT per `batch_size` events)
 /// to keep the per-request overhead down; Detach flushes the remainder.
 /// A failed batch of N rows counts N dropped writes — droppage is
@@ -43,7 +63,9 @@ class RequestTracer {
   /// metrics registry.
   Status Attach(engine::Database* monitored, engine::Database* sink);
 
-  /// Stops capturing (clears the hook) and flushes buffered sink rows.
+  /// Stops capturing (unsubscribes) and flushes buffered sink rows. Quiesce
+  /// the monitored database's clients first: a statement that finished
+  /// just before may still deliver its event.
   void Detach();
 
   /// Writes any buffered sink rows now. Safe from any thread.
@@ -52,7 +74,7 @@ class RequestTracer {
   /// Snapshot of the buffered events in recording order (oldest surviving
   /// first once the ring has wrapped). By value: the ring keeps moving
   /// while callers iterate.
-  std::vector<engine::TraceEvent> events() const;
+  std::vector<TraceEvent> events() const;
   uint64_t dropped_sink_writes() const {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -62,26 +84,25 @@ class RequestTracer {
   }
 
  private:
-  void OnEvent(const engine::TraceEvent& ev);
+  void OnEvent(const obs::StatementTrace& trace, uint64_t elapsed_micros);
   /// Executes one multi-row INSERT binding `values` (whole rows, in
-  /// column order) to its placeholders; on failure every row counts as one
-  /// dropped sink write.
+  /// column order) to its placeholders, on a connection of its own (callers
+  /// run concurrently); on failure every row counts as one dropped write.
   void WriteBatch(std::vector<Value> values);
 
   const size_t batch_size_;
   const size_t ring_capacity_;
-  // Set by Attach before it installs the trace hook (i.e. before any
-  // concurrent event delivery), read lock-free afterwards — deliberately
-  // not GUARDED_BY (DESIGN.md §8.4 set-once contract). Detach clears the
-  // hook first for the same reason.
+  // Set by Attach before it subscribes (i.e. before any concurrent event
+  // delivery), read lock-free afterwards — deliberately not GUARDED_BY
+  // (DESIGN.md §8.4 set-once contract). Detach unsubscribes first for the
+  // same reason.
   engine::Database* monitored_ = nullptr;
   engine::Database* sink_ = nullptr;
-  std::unique_ptr<engine::Connection> sink_conn_;
 
   /// Guards events_/event_seq_ and pending_values_; never held across a
   /// sink write.
   mutable RankedMutex<LockRank::kTracer> mu_;
-  std::vector<engine::TraceEvent> events_ GUARDED_BY(mu_);  // bounded ring
+  std::vector<TraceEvent> events_ GUARDED_BY(mu_);  // bounded ring
   uint64_t event_seq_ GUARDED_BY(mu_) = 0;  // events ever delivered
   // Sink rows awaiting a batch INSERT, flattened column by column.
   std::vector<Value> pending_values_ GUARDED_BY(mu_);
@@ -89,19 +110,12 @@ class RequestTracer {
   std::atomic<uint64_t> dropped_ring_{0};
 
   // Telemetry (registered on Attach; null when the monitored database is
-  // gone or Attach was never called). Same set-once-before-hook contract
-  // as monitored_ above.
+  // gone or Attach was never called). Same set-once-before-subscribe
+  // contract as monitored_ above.
   obs::Counter* events_counter_ = nullptr;
   obs::Counter* dropped_counter_ = nullptr;
   obs::Counter* dropped_ring_counter_ = nullptr;
 };
-
-/// Normalizes a SQL text to its *statement shape*: literals replaced by
-/// '?', whitespace canonicalized, keywords uppercased. Statements that
-/// differ only in constants — the client-side join signature — normalize
-/// identically. Delegates to engine::NormalizeStatement (the engine uses
-/// the same shapes for sys.statements).
-std::string NormalizeStatement(const std::string& sql);
 
 }  // namespace hdb::profile
 

@@ -24,6 +24,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "obs/metric_names.h"
+#include "profile/tracer.h"
 
 namespace hdb {
 namespace {
@@ -247,6 +248,91 @@ TEST(NetServerTest, PreparedAndInlineShareOneStatementShape) {
   ASSERT_EQ(rows.rows.size(), 1u);
   EXPECT_EQ(rows.rows[0][0].AsInt(), 3);
   EXPECT_TRUE(client->Close().ok());
+}
+
+// Over the wire the worker opens the statement's registry entry and
+// Execute, finding that trace current, opens none: one prepared
+// execution is one tracer event and one sys.statements count.
+TEST(NetServerTest, PreparedExecutionIsOneCompletion) {
+  NetFixture fx;
+  fx.Exec("CREATE TABLE kv (k INT, v INT)");
+  fx.Exec("INSERT INTO kv VALUES (1, 10), (2, 20)");
+  std::unique_ptr<Client> client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  auto sel = client->Prepare("SELECT v FROM kv WHERE k = ?");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+
+  profile::RequestTracer tracer;
+  ASSERT_TRUE(tracer.Attach(fx.db.get(), nullptr).ok());
+  ASSERT_TRUE(client->Bind(sel->stmt_id, {Value::Int(2)}).ok());
+  auto r = client->ExecutePrepared(sel->stmt_id);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_TRUE(client->Close().ok());
+  tracer.Detach();
+
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].sql, "SELECT v FROM kv WHERE k = ?");
+  EXPECT_EQ(events[0].shape, "SELECT V FROM KV WHERE K = ?");
+  EXPECT_EQ(events[0].rows_returned, 1u);
+  EXPECT_NE(events[0].params_hash, 0u);
+  auto rows = fx.Exec(
+      "SELECT count FROM sys.statements "
+      "WHERE shape = 'SELECT V FROM KV WHERE K = ?'");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsInt(), 1);
+}
+
+// A tracer whose sink is the monitored database, attached while wire
+// clients run: each statement's End runs the sink INSERTs on the net
+// worker that finished it, under the lock-rank checker. Every client
+// statement is one event and one sink row; the sink's own INSERTs are
+// neither.
+TEST(NetServerTest, SelfSinkingTracerRunsSinkSqlOnNetWorkers) {
+  net::ServerOptions so;
+  so.workers = 3;
+  NetFixture fx({}, so);
+  fx.Exec("CREATE TABLE acc (id INT, bal INT)");
+  fx.Exec("INSERT INTO acc VALUES (1, 100)");
+
+  profile::RequestTracer tracer(/*batch_size=*/4);
+  ASSERT_TRUE(tracer.Attach(fx.db.get(), fx.db.get()).ok());
+  constexpr int kThreads = 4;
+  constexpr int kQueriesEach = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  const uint16_t port = fx.server->port();
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([port, &failures] {
+      auto c = Client::Connect("127.0.0.1", port);
+      if (!c.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kQueriesEach; ++i) {
+        auto r = (*c)->Query("SELECT bal FROM acc WHERE id = 1");
+        if (!r.ok() || r->rows.size() != 1) failures.fetch_add(1);
+      }
+      (void)(*c)->Close();
+    });
+  }
+  for (auto& t : threads) t.join();
+  tracer.Detach();
+  ASSERT_EQ(failures.load(), 0);
+
+  constexpr int kStatements = kThreads * kQueriesEach;
+  EXPECT_EQ(tracer.events().size(), static_cast<size_t>(kStatements));
+  EXPECT_EQ(tracer.dropped_sink_writes(), 0u);
+  auto sunk = fx.Exec("SELECT COUNT(*) FROM profile_trace");
+  ASSERT_EQ(sunk.rows.size(), 1u);
+  EXPECT_EQ(sunk.rows[0][0].AsInt(), kStatements);
+  auto counted = fx.Exec(
+      "SELECT count FROM sys.statements "
+      "WHERE shape = 'SELECT BAL FROM ACC WHERE ID = ?'");
+  ASSERT_EQ(counted.rows.size(), 1u);
+  EXPECT_EQ(counted.rows[0][0].AsInt(), kStatements);
 }
 
 TEST(NetServerTest, ErrorFramesKeepTheConnectionUsable) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "engine/database.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -28,12 +31,12 @@ struct Db {
 };
 
 TEST(NormalizeTest, LiteralsBecomePlaceholders) {
-  EXPECT_EQ(NormalizeStatement("SELECT a FROM t WHERE b = 42"),
-            NormalizeStatement("select A from T where B = 977"));
-  EXPECT_EQ(NormalizeStatement("SELECT a FROM t WHERE s = 'x'"),
+  EXPECT_EQ(engine::NormalizeStatement("SELECT a FROM t WHERE b = 42"),
+            engine::NormalizeStatement("select A from T where B = 977"));
+  EXPECT_EQ(engine::NormalizeStatement("SELECT a FROM t WHERE s = 'x'"),
             "SELECT A FROM T WHERE S = ?");
-  EXPECT_NE(NormalizeStatement("SELECT a FROM t"),
-            NormalizeStatement("SELECT b FROM t"));
+  EXPECT_NE(engine::NormalizeStatement("SELECT a FROM t"),
+            engine::NormalizeStatement("SELECT b FROM t"));
 }
 
 TEST(TracerTest, CapturesEvents) {
@@ -101,10 +104,92 @@ TEST(TracerTest, EveryCallIsOneProcedureEvent) {
 
   const auto events = tracer.events();
   ASSERT_EQ(events.size(), 3u);
-  for (const engine::TraceEvent& ev : events) {
+  for (const TraceEvent& ev : events) {
     EXPECT_TRUE(ev.from_procedure) << ev.sql;
     EXPECT_EQ(ev.sql.rfind("CALL", 0), 0u) << ev.sql;
   }
+}
+
+// sys.statements and the tracer read one completion record: per shape
+// they hold the same statements, the same Begin→End time and the same
+// returned rows.
+TEST(TracerTest, SysStatementsAndTracerShareEveryCompletion) {
+  Db db;
+  RequestTracer tracer;
+  ASSERT_TRUE(tracer.Attach(db.database.get(), nullptr).ok());
+  db.Exec("CREATE TABLE t (k INT, x DOUBLE)");
+  for (int i = 0; i < 6; ++i) {
+    db.Exec("INSERT INTO t VALUES (" + std::to_string(i) + ", 1.5)");
+  }
+  ASSERT_TRUE(
+      db.c->Execute("SELECT x FROM t WHERE k = ?", {Value::Int(2)}).ok());
+  db.Exec("SELECT x FROM t WHERE k = 3");
+  db.Exec("SELECT k, x FROM t");
+  db.Exec("UPDATE t SET x = 2.5 WHERE k = 1");
+  db.Exec("CREATE PROCEDURE get_x (:k) AS SELECT x FROM t WHERE k = :k");
+  db.Exec("CALL get_x(4)");
+  db.Exec("CALL get_x(5)");
+  db.Exec("DELETE FROM t WHERE k = 0");
+  tracer.Detach();
+
+  struct Totals {
+    int64_t count = 0;
+    double micros = 0;
+    int64_t rows = 0;
+  };
+  std::map<std::string, Totals> traced;
+  for (const TraceEvent& ev : tracer.events()) {
+    EXPECT_EQ(ev.shape, engine::NormalizeStatement(ev.sql));
+    Totals& t = traced[ev.shape];
+    t.count++;
+    t.micros += ev.elapsed_micros;
+    t.rows += static_cast<int64_t>(ev.rows_returned);
+  }
+  using engine::NormalizeStatement;
+  EXPECT_EQ(traced[NormalizeStatement("INSERT INTO t VALUES (9, 9)")].count,
+            6);
+  EXPECT_EQ(traced[NormalizeStatement("SELECT x FROM t WHERE k = 9")].count,
+            2);
+  EXPECT_EQ(traced[NormalizeStatement("SELECT k, x FROM t")].rows, 6);
+  EXPECT_EQ(traced[NormalizeStatement("CALL get_x(9)")].count, 2);
+
+  auto r = db.c->Execute(
+      "SELECT shape, count, total_micros, rows_returned FROM sys.statements");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), traced.size());
+  for (const auto& row : r->rows) {
+    const std::string& shape = row[0].AsString();
+    ASSERT_EQ(traced.count(shape), 1u) << shape;
+    EXPECT_EQ(row[1].AsInt(), traced[shape].count) << shape;
+    EXPECT_DOUBLE_EQ(row[2].AsDouble(), traced[shape].micros) << shape;
+    EXPECT_EQ(row[3].AsInt(), traced[shape].rows) << shape;
+  }
+}
+
+// A statement that fails, at parse or while executing, is no tracer event
+// and no sys.statements count, but it still leaves the active set.
+TEST(TracerTest, FailedStatementsAreNeitherTracedNorCounted) {
+  Db db;
+  db.Exec("CREATE TABLE t (a INT)");
+  RequestTracer tracer;
+  ASSERT_TRUE(tracer.Attach(db.database.get(), nullptr).ok());
+  EXPECT_FALSE(db.c->Execute("SELEC a FROM t").ok());
+  EXPECT_FALSE(db.c->Execute("SELECT a FROM missing").ok());
+  EXPECT_FALSE(db.c->Execute("SELECT b FROM t WHERE a = 1").ok());
+  tracer.Detach();
+
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(db.database->statement_registry().active_count(), 0u);
+  auto r = db.c->Execute("SELECT shape FROM sys.statements");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(),
+            engine::NormalizeStatement("CREATE TABLE t (a INT)"));
+  auto active = db.c->Execute("SELECT sql FROM sys.active_statements");
+  ASSERT_TRUE(active.ok()) << active.status().ToString();
+  ASSERT_EQ(active->rows.size(), 1u);  // the scan itself
+  EXPECT_EQ(active->rows[0][0].AsString(),
+            engine::NormalizeStatement("SELECT sql FROM sys.active_statements"));
 }
 
 TEST(AnalyzerTest, DetectsClientSideJoin) {
