@@ -28,11 +28,12 @@
 # The --trace-overhead form guards the statement-tracing budget
 # (DESIGN.md §11, target <= 2%): it configures a sibling build with
 # -DHDB_TELEMETRY=OFF, runs the BM_Exec* microbenchmarks in both trees
-# interleaved over 5 rounds, compares best per-iteration CPU time, and
-# fails when the geometric-mean slowdown of tracing-on vs telemetry-off
-# exceeds the tolerance (default 0.03: the 2% budget plus residual
-# measurement noise). Same exit-77 guards as --compare, plus one for a
-# busy host, where co-tenants blur the CPU-time ratio. Invoke via
+# interleaved over 5 rounds, takes per bench the median of the 5
+# per-round telemetry-off / tracing-on CPU-rate ratios (printing their
+# min and max), and fails when the geometric mean of those medians shows
+# a slowdown above the tolerance (default 0.03: the 2% budget plus
+# residual measurement noise). Same exit-77 guards as --compare, plus one
+# for a busy host, where co-tenants blur the CPU-time ratio. Invoke via
 # `cmake --build <build> --target trace_overhead`.
 set -eu
 
@@ -107,11 +108,15 @@ if [[ "$trace_overhead" == 1 ]]; then
   # Measurement discipline: two sequential blocks (all-on, then all-off)
   # would let host drift — co-tenant load, frequency scaling — masquerade
   # as a tracing delta, so the two binaries run INTERLEAVED, 5 rounds
-  # each. The comparison below then takes the best (minimum) per-iteration
-  # CPU time per bench: tracing cost is CPU work, and CPU time is immune
+  # each, and each round's on and off runs form a pair. The comparison
+  # below takes, per bench, the median of the 5 paired ratios: a host
+  # slowdown that spans a round slows both of its runs, so pairing
+  # cancels it, and the median drops the odd pair one side of which was
+  # hit alone. (Each side's best-of-5, compared unpaired, let one lucky
+  # run on either side swing a bench by 10% or more either way.) Rates
+  # are per CPU second: tracing cost is CPU work, and CPU time is immune
   # to the scheduler-steal noise that dominates wall clock on shared
-  # hosts. The leftover ~1% jitter is what the tolerance's headroom over
-  # the 2% budget absorbs.
+  # hosts.
   run_bm() {
     "$1/bench/micro_operators" --benchmark_filter='BM_Exec' \
         --benchmark_min_time=0.5 \
@@ -131,37 +136,45 @@ import sys
 tmpdir, out_path, tol = sys.argv[1:4]
 tol = float(tol)
 
-def best_of(pattern):
-    # Minimum CPU time per iteration across rounds = the run least
-    # disturbed by the host; report it as rows/cpu-second.
-    best = {}
-    for path in glob.glob(pattern):
-        with open(path) as f:
-            for b in json.load(f)["benchmarks"]:
-                if b.get("run_type") == "aggregate":
-                    continue
-                name = b["name"].split("/")[0]
-                # cpu_time is per-iteration in time_unit (ns by default);
-                # scale by items/iteration derived from the real-time rate.
-                items_per_iter = b["items_per_second"] * b["real_time"] * 1e-9
-                rate = items_per_iter / (b["cpu_time"] * 1e-9)
-                best[name] = max(best.get(name, 0.0), rate)
-    return best
+def rates(path):
+    # Rows per CPU second per bench: cpu_time is per-iteration in
+    # time_unit (ns by default); scale by items/iteration derived from the
+    # real-time rate.
+    out = {}
+    with open(path) as f:
+        for b in json.load(f)["benchmarks"]:
+            if b.get("run_type") == "aggregate":
+                continue
+            name = b["name"].split("/")[0]
+            items_per_iter = b["items_per_second"] * b["real_time"] * 1e-9
+            out[name] = items_per_iter / (b["cpu_time"] * 1e-9)
+    return out
 
-on = best_of(f"{tmpdir}/on.*.json")
-off = best_of(f"{tmpdir}/off.*.json")
-common = sorted(set(on) & set(off))
+# ratio > 1 means the tracing-on tree was slower in that pair.
+ratios = {}
+for on_path in sorted(glob.glob(f"{tmpdir}/on.*.json")):
+    on = rates(on_path)
+    off = rates(on_path.replace("/on.", "/off."))
+    for name in set(on) & set(off):
+        ratios.setdefault(name, []).append(off[name] / on[name])
+common = sorted(ratios)
 if not common:
     sys.exit("bench_smoke: no common BM_Exec benchmarks between builds")
+
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 report = {}
 log_sum = 0.0
 for name in common:
-    overhead = off[name] / on[name] - 1.0
-    log_sum += math.log(off[name] / on[name])
-    report[name] = {"tracing_on": round(on[name], 1),
-                    "telemetry_off": round(off[name], 1),
-                    "overhead": round(overhead, 4)}
+    m = median(ratios[name])
+    log_sum += math.log(m)
+    report[name] = {"overhead": round(m - 1.0, 4),
+                    "overhead_min": round(min(ratios[name]) - 1.0, 4),
+                    "overhead_max": round(max(ratios[name]) - 1.0, 4),
+                    "rounds": len(ratios[name])}
 geomean = math.exp(log_sum / len(common)) - 1.0
 report["geomean_overhead"] = round(geomean, 4)
 
@@ -170,9 +183,9 @@ with open(out_path, "w") as f:
     f.write("\n")
 for name in common:
     r = report[name]
-    print(f"  {name:24s} on={r['tracing_on']:>14.1f}/s "
-          f"off={r['telemetry_off']:>14.1f}/s "
-          f"overhead={r['overhead']*100:+.2f}%")
+    print(f"  {name:24s} overhead={r['overhead']*100:+.2f}% "
+          f"(paired rounds: min {r['overhead_min']*100:+.2f}%, "
+          f"max {r['overhead_max']*100:+.2f}%)")
 print(f"bench_smoke: tracing geomean overhead {geomean*100:+.2f}% "
       f"(tolerance {tol*100:.1f}%)")
 if geomean > tol:

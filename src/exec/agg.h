@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "exec/hash_table.h"
 #include "optimizer/query.h"
 
 namespace hdb::exec {
@@ -105,6 +106,82 @@ inline AggState DecodeAggState(const std::vector<Value>& v, size_t at) {
   s.max = v[at + 6];
   return s;
 }
+
+/// The groups of one hash aggregation: their keys in a KeyTable and, by
+/// group number, their aggregate states ([group * naggs + aggregate]).
+/// Shared by the serial HashGroupByOp (its in-memory groups, and the merge
+/// of its spilled partials) and the parallel pre-aggregation (each
+/// worker's groups, and their merge at the barrier).
+struct GroupTable {
+  GroupTable(size_t nkeys, size_t naggs) : keys(nkeys), naggs(naggs) {}
+
+  KeyTable keys;
+  std::vector<AggState> states;
+  size_t naggs;
+
+  size_t size() const { return keys.size(); }
+  AggState* states_of(uint32_t g) { return states.data() + g * naggs; }
+  const AggState* states_of(uint32_t g) const {
+    return states.data() + g * naggs;
+  }
+
+  /// Adds a group for the key `get(0..nkeys)` (absent, hash `h`) with
+  /// fresh states; returns its number.
+  template <typename Get>
+  uint32_t Add(uint64_t h, const Get& get) {
+    states.resize(states.size() + naggs);
+    return keys.Insert(h, get);
+  }
+
+  /// Folds one partial group in: a new key starts as `partial`, a known
+  /// one AggMerges it.
+  void Merge(const Value* key, const AggState* partial) {
+    auto get = [&](size_t i) -> const Value& { return key[i]; };
+    const uint64_t h = KeyHash(keys.arity(), get);
+    const uint32_t g = keys.Find(h, get);
+    if (g == FlatHashTable::kAbsent) {
+      keys.Insert(h, get);
+      states.insert(states.end(), partial, partial + naggs);
+      return;
+    }
+    for (size_t a = 0; a < naggs; ++a) AggMerge(states_of(g)[a], partial[a]);
+  }
+
+  void Clear() {
+    keys.Clear();
+    states.clear();
+  }
+
+  /// The result rows — group keys, then one finalized value per aggregate
+  /// — in ascending encoded-key order, the GROUP BY emission order. Moves
+  /// the keys out and empties the table. A scalar aggregation (no group
+  /// keys) over no rows still yields one row.
+  std::vector<std::vector<Value>> Finalize(
+      const std::vector<optimizer::AggSpec>& aggs) {
+    const size_t nkeys = keys.arity();
+    std::vector<std::vector<Value>> rows;
+    rows.reserve(size());
+    for (const uint32_t g : keys.EncodedOrder()) {
+      std::vector<Value> row;
+      row.reserve(nkeys + naggs);
+      Value* key = keys.mutable_key(g);
+      for (size_t i = 0; i < nkeys; ++i) row.push_back(std::move(key[i]));
+      for (size_t a = 0; a < naggs; ++a) {
+        row.push_back(AggFinalize(states_of(g)[a], aggs[a].kind));
+      }
+      rows.push_back(std::move(row));
+    }
+    Clear();
+    if (nkeys == 0 && rows.empty() && !aggs.empty()) {
+      std::vector<Value> row;
+      for (const auto& spec : aggs) {
+        row.push_back(AggFinalize(AggState{}, spec.kind));
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+};
 
 }  // namespace hdb::exec
 

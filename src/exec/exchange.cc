@@ -5,16 +5,15 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/lock_rank.h"
 #include "exec/agg.h"
+#include "exec/hash_table.h"
 #include "exec/spill.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
@@ -87,13 +86,6 @@ void RecordActualWorkers(ExecContext* ec, const PlanNode* plan, int workers) {
 size_t WorkerBatchCap(const ExecContext& wc) {
   return wc.batch_cap != 0 ? wc.batch_cap : kDefaultBatchCap;
 }
-
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Packets: worker → coordinator row transport. A packet owns its rows
@@ -572,7 +564,7 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
   /// One shared build partition, written by exactly one merging worker
   /// (partition-parallel assignment) and immutable during the probe.
   struct Partition {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> table;
+    JoinIndex table;  // row r is keys[r] / rows[r]
     std::vector<Value> keys;
     std::vector<table::Row> rows;
   };
@@ -648,8 +640,7 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
       Partition& part = parts_[p];
       for (auto& staged_worker : staged_) {
         for (BuildEntry& e : staged_worker[p]) {
-          const auto idx = static_cast<uint32_t>(part.rows.size());
-          part.table[e.h].push_back(idx);
+          part.table.Add(e.h);
           part.keys.push_back(std::move(e.key));
           part.rows.push_back(std::move(e.row));
         }
@@ -689,9 +680,8 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
         if (key.is_null()) continue;
         const uint64_t h = key.Hash();
         const Partition& part = parts_[h % kPartitions];
-        const auto it = part.table.find(h);
-        if (it == part.table.end()) continue;
-        for (const uint32_t idx : it->second) {
+        for (uint32_t idx = part.table.First(h); idx != JoinIndex::kEnd;
+             idx = part.table.Next(idx)) {
           if (part.keys[idx].Compare(key) != 0) continue;
           ctx.rows[build_q_] = &part.rows[idx];
           if (plan_->extra_condition != nullptr) {
@@ -766,17 +756,18 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
 
 // ---------------------------------------------------------------------------
 // Parallel pre-aggregation (hash group by / distinct): workers build
-// per-worker partial maps from FCFS morsels, merge them under the merge
+// per-worker partial tables from FCFS morsels, merge them under the merge
 // latch at the barrier (AggMerge — the same partial-merge the spill
-// replay uses), and the coordinator emits serially. The merged map is a
-// std::map keyed by the encoded group key, so emission order matches the
-// serial HashGroupByOp exactly.
+// replay uses), and the coordinator emits serially. The tables are the
+// serial operators' GroupTable / KeyTable, and emission is in encoded-key
+// order, so group-by output matches the serial HashGroupByOp exactly.
 // ---------------------------------------------------------------------------
 
 class ExchangeGroupByOp : public Operator {
  public:
   ExchangeGroupByOp(const PlanNode* plan, ExecContext* ec, int workers)
-      : plan_(plan), ec_(ec), workers_(workers) {}
+      : plan_(plan), ec_(ec), workers_(workers),
+        merged_(plan->group_keys.size(), plan->aggregates.size()) {}
 
   Status Open() override {
     const PlanNode* scan = FragmentScan(plan_->children[0].get());
@@ -785,7 +776,7 @@ class ExchangeGroupByOp : public Operator {
     }
     table::TableHeap* heap = ec_->table_heap(scan->table->oid);
     if (heap == nullptr) return Status::Internal("missing table heap");
-    merged_.clear();
+    merged_.Clear();
     results_.clear();
     dispenser_ = std::make_unique<MorselDispenser>(
         heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
@@ -812,8 +803,8 @@ class ExchangeGroupByOp : public Operator {
     ec_->stats.parallel_workers_revoked +=
         static_cast<uint64_t>(revoked_.exchange(0, std::memory_order_relaxed));
     ec_->stats.parallel_morsels += dispenser_->morsels();
-    Finalize();
-    pos_ = results_.begin();
+    results_ = merged_.Finalize(plan_->aggregates);
+    pos_ = 0;
     return Status::OK();
   }
 
@@ -822,9 +813,8 @@ class ExchangeGroupByOp : public Operator {
     const size_t group_slot = ec_->num_quantifiers;
     const table::Row** col = b->BindSlot(group_slot);
     size_t n = 0;
-    while (n < b->capacity() && pos_ != results_.end()) {
-      col[n++] = &pos_->second;
-      ++pos_;
+    while (n < b->capacity() && pos_ < results_.size()) {
+      col[n++] = &results_[pos_++];
     }
     if (n == 0) return false;
     b->SetSize(n);
@@ -852,7 +842,7 @@ class ExchangeGroupByOp : public Operator {
     if (charged > 0 && ec_->memory != nullptr) {
       ec_->memory->ReleaseBytes(charged);
     }
-    merged_.clear();
+    merged_.Clear();
     results_.clear();
   }
 
@@ -861,25 +851,18 @@ class ExchangeGroupByOp : public Operator {
   }
 
  private:
-  struct GroupEntry {
-    std::vector<Value> key_values;
-    std::vector<AggState> states;
-  };
-  using LocalMap = std::unordered_map<std::string, GroupEntry,
-                                      TransparentStringHash, std::equal_to<>>;
-
   Status Worker(int w) {
     ExecContext* wc = &wctxs_[w];
     HDB_ASSIGN_OR_RETURN(auto root,
                          BuildExecutor(plan_->children[0].get(), wc));
-    LocalMap local;
+    GroupTable local(plan_->group_keys.size(), plan_->aggregates.size());
     Status s = AggregateLoop(wc, root.get(), &local);
     root->Close();
-    if (s.ok()) MergeLocal(&local);  // revoked workers still merge partials
+    if (s.ok()) MergeLocal(local);  // revoked workers still merge partials
     return s;
   }
 
-  Status AggregateLoop(ExecContext* wc, Operator* root, LocalMap* local) {
+  Status AggregateLoop(ExecContext* wc, Operator* root, GroupTable* local) {
     HDB_RETURN_IF_ERROR(root->Open());
     RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
     RowContext ctx;
@@ -889,7 +872,7 @@ class ExchangeGroupByOp : public Operator {
     const size_t naggs = plan_->aggregates.size();
     std::vector<Value> keys(nkeys);
     std::vector<Value> args(naggs);
-    std::string key_buf;
+    auto key = [&](size_t i) -> const Value& { return keys[i]; };
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
       if (!more) return Status::OK();
@@ -908,55 +891,29 @@ class ExchangeGroupByOp : public Operator {
             args[a] = Value();
           }
         }
-        EncodeValuesTo(keys, &key_buf);
-        auto it = local->find(std::string_view(key_buf));
-        if (it == local->end()) {
-          auto [it2, inserted] = local->try_emplace(key_buf);
-          it = it2;
-          it->second.key_values = keys;
-          it->second.states.resize(naggs);
-          const uint64_t bytes = key_buf.size() + 64 * naggs + 64;
+        const uint64_t h = KeyHash(nkeys, key);
+        uint32_t g = local->keys.Find(h, key);
+        if (g == FlatHashTable::kAbsent) {
+          g = local->Add(h, key);
+          const uint64_t bytes =
+              EncodedValuesBytes(keys.data(), nkeys) + 64 * naggs + 64;
           if (wc->memory != nullptr) {
             HDB_RETURN_IF_ERROR(wc->memory->ChargeBytesFromWorker(bytes));
           }
           charged_.fetch_add(bytes, std::memory_order_relaxed);
         }
+        AggState* states = local->states_of(g);
         for (size_t a = 0; a < naggs; ++a) {
-          AggUpdate(it->second.states[a], plan_->aggregates[a].kind, args[a]);
+          AggUpdate(states[a], plan_->aggregates[a].kind, args[a]);
         }
       }
     }
   }
 
-  void MergeLocal(LocalMap* local) {
+  void MergeLocal(const GroupTable& local) {
     LockGuard lock(merge_mu_);
-    for (auto& [key, entry] : *local) {
-      auto [it, inserted] = merged_.try_emplace(key, std::move(entry));
-      if (!inserted) {
-        for (size_t a = 0; a < it->second.states.size(); ++a) {
-          AggMerge(it->second.states[a], entry.states[a]);
-        }
-      }
-    }
-  }
-
-  void Finalize() {
-    for (auto& [key, e] : merged_) {
-      std::vector<Value> row = std::move(e.key_values);
-      for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-        row.push_back(AggFinalize(e.states[a], plan_->aggregates[a].kind));
-      }
-      results_.emplace(key, std::move(row));
-    }
-    merged_.clear();
-    // Scalar aggregation over zero rows still yields one row.
-    if (plan_->group_keys.empty() && results_.empty() &&
-        !plan_->aggregates.empty()) {
-      std::vector<Value> row;
-      for (const auto& spec : plan_->aggregates) {
-        row.push_back(AggFinalize(AggState{}, spec.kind));
-      }
-      results_[""] = std::move(row);
+    for (uint32_t g = 0; g < local.size(); ++g) {
+      merged_.Merge(local.keys.key(g), local.states_of(g));
     }
   }
 
@@ -967,21 +924,22 @@ class ExchangeGroupByOp : public Operator {
   std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
   std::vector<ExecContext> wctxs_;
   RankedMutex<LockRank::kParallelMerge> merge_mu_;
-  std::map<std::string, GroupEntry> merged_ GUARDED_BY(merge_mu_);
+  GroupTable merged_ GUARDED_BY(merge_mu_);
   std::atomic<int> revoked_{0};
   std::atomic<uint64_t> charged_{0};
 
-  std::map<std::string, std::vector<Value>> results_;
-  std::map<std::string, std::vector<Value>>::iterator pos_;
+  std::vector<table::Row> results_;  // finalized, in emission order
+  size_t pos_ = 0;
   RowContext emit_ctx_;
 };
 
-/// Parallel DISTINCT: per-worker dedup maps (encoded output row → first
-/// occurrence) merged at the barrier. Emission is in encoded-key order —
-/// deterministic, but different from the serial streaming operator's
-/// arrival order; DISTINCT without ORDER BY is unordered by contract
-/// (and ORDER BY below DISTINCT makes the fragment ineligible, so the
-/// parallel path never has an order to preserve).
+/// Parallel DISTINCT: per-worker dedup tables (output row → first
+/// occurrence, under the serial operator's key identity) merged at the
+/// barrier. Emission is in encoded-key order — deterministic, but
+/// different from the serial streaming operator's arrival order; DISTINCT
+/// without ORDER BY is unordered by contract (and ORDER BY below DISTINCT
+/// makes the fragment ineligible, so the parallel path never has an order
+/// to preserve).
 class ExchangeDistinctOp : public Operator {
  public:
   ExchangeDistinctOp(const PlanNode* plan, ExecContext* ec, int workers)
@@ -997,7 +955,7 @@ class ExchangeDistinctOp : public Operator {
     }
     table::TableHeap* heap = ec_->table_heap(scan->table->oid);
     if (heap == nullptr) return Status::Internal("missing table heap");
-    merged_.clear();
+    merged_.Clear();
     dispenser_ = std::make_unique<MorselDispenser>(
         heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
                                        : 0);
@@ -1023,7 +981,8 @@ class ExchangeDistinctOp : public Operator {
     ec_->stats.parallel_workers_revoked +=
         static_cast<uint64_t>(revoked_.exchange(0, std::memory_order_relaxed));
     ec_->stats.parallel_morsels += dispenser_->morsels();
-    pos_ = merged_.begin();
+    order_ = merged_.EncodedOrder();
+    pos_ = 0;
     return Status::OK();
   }
 
@@ -1031,9 +990,9 @@ class ExchangeDistinctOp : public Operator {
     b->Reset();
     table::Row* out = b->OutputColumn();
     size_t n = 0;
-    while (n < b->capacity() && pos_ != merged_.end()) {
-      out[n++] = pos_->second;
-      ++pos_;
+    while (n < b->capacity() && pos_ < order_.size()) {
+      const Value* k = merged_.key(order_[pos_++]);
+      out[n++].assign(k, k + merged_.arity());
     }
     if (n == 0) return false;
     b->SetSize(n);
@@ -1045,7 +1004,8 @@ class ExchangeDistinctOp : public Operator {
     if (charged > 0 && ec_->memory != nullptr) {
       ec_->memory->ReleaseBytes(charged);
     }
-    merged_.clear();
+    merged_.Clear();
+    order_.clear();
   }
 
   uint64_t MemoryBytes() const override {
@@ -1053,34 +1013,32 @@ class ExchangeDistinctOp : public Operator {
   }
 
  private:
-  using LocalMap = std::unordered_map<std::string, std::vector<Value>,
-                                      TransparentStringHash, std::equal_to<>>;
-
   Status Worker(int w) {
     ExecContext* wc = &wctxs_[w];
     HDB_ASSIGN_OR_RETURN(auto root,
                          BuildExecutor(plan_->children[0].get(), wc));
-    LocalMap local;
+    KeyTable local;
     Status s = DedupLoop(wc, root.get(), &local);
     root->Close();
-    if (s.ok()) MergeLocal(&local);
+    if (s.ok()) MergeLocal(local);
     return s;
   }
 
-  Status DedupLoop(ExecContext* wc, Operator* root, LocalMap* local) {
+  Status DedupLoop(ExecContext* wc, Operator* root, KeyTable* local) {
     HDB_RETURN_IF_ERROR(root->Open());
     RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
-    std::string key_buf;
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
       if (!more) return Status::OK();
       const size_t n = batch.ActiveCount();
       for (size_t i = 0; i < n; ++i) {
-        const size_t pos = batch.Active(i);
-        EncodeValuesTo(batch.output(pos), &key_buf);
-        if (local->find(std::string_view(key_buf)) != local->end()) continue;
-        local->emplace(key_buf, batch.output(pos));
-        const uint64_t bytes = key_buf.size() + 32;
+        const table::Row& row = batch.output(batch.Active(i));
+        auto key = [&](size_t k) -> const Value& { return row[k]; };
+        const uint64_t h = KeyHash(row.size(), key);
+        if (local->size() == 0) local->Reset(row.size());
+        if (local->Find(h, key) != FlatHashTable::kAbsent) continue;
+        local->Insert(h, key);
+        const uint64_t bytes = EncodedValuesBytes(row.data(), row.size()) + 32;
         if (wc->memory != nullptr) {
           HDB_RETURN_IF_ERROR(wc->memory->ChargeBytesFromWorker(bytes));
         }
@@ -1089,10 +1047,16 @@ class ExchangeDistinctOp : public Operator {
     }
   }
 
-  void MergeLocal(LocalMap* local) {
+  void MergeLocal(const KeyTable& local) {
     LockGuard lock(merge_mu_);
-    for (auto& [key, row] : *local) {
-      merged_.try_emplace(key, std::move(row));
+    if (merged_.size() == 0 && local.size() > 0) merged_.Reset(local.arity());
+    for (uint32_t e = 0; e < local.size(); ++e) {
+      const Value* k = local.key(e);
+      auto key = [&](size_t i) -> const Value& { return k[i]; };
+      const uint64_t h = KeyHash(local.arity(), key);
+      if (merged_.Find(h, key) == FlatHashTable::kAbsent) {
+        merged_.Insert(h, key);
+      }
     }
   }
 
@@ -1103,10 +1067,11 @@ class ExchangeDistinctOp : public Operator {
   std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
   std::vector<ExecContext> wctxs_;
   RankedMutex<LockRank::kParallelMerge> merge_mu_;
-  std::map<std::string, std::vector<Value>> merged_ GUARDED_BY(merge_mu_);
+  KeyTable merged_ GUARDED_BY(merge_mu_);
   std::atomic<int> revoked_{0};
   std::atomic<uint64_t> charged_{0};
-  std::map<std::string, std::vector<Value>>::iterator pos_;
+  std::vector<uint32_t> order_;  // merged_ entries in emission order
+  size_t pos_ = 0;
 };
 
 }  // namespace

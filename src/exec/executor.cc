@@ -8,14 +8,12 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
-
 #include <string_view>
 
 #include "common/ophash.h"
 #include "exec/agg.h"
 #include "exec/exchange.h"
+#include "exec/hash_table.h"
 #include "exec/spill.h"
 #include "obs/trace.h"
 #include "table/row_codec.h"
@@ -129,21 +127,25 @@ std::optional<ObservablePred> ClassifyObservable(const ExprPtr& e,
   return std::nullopt;
 }
 
+/// Reports one conjunct's outcomes over a batch: `matched` of `seen` rows
+/// evaluated true (one collector call per conjunct per batch).
 void Observe(ExecContext* ec, uint32_t table_oid, const ObservablePred& p,
-             bool matched) {
-  if (ec->feedback == nullptr) return;
+             uint64_t seen, uint64_t matched) {
+  if (ec == nullptr || ec->feedback == nullptr) return;
   switch (p.kind) {
     case ObservablePred::kEq:
-      ec->feedback->ObserveEquals(table_oid, p.column, *p.lo, matched);
+      ec->feedback->ObserveEquals(table_oid, p.column, *p.lo, seen, matched);
       break;
     case ObservablePred::kRange:
-      ec->feedback->ObserveRange(table_oid, p.column, p.lo, p.hi, matched);
+      ec->feedback->ObserveRange(table_oid, p.column, p.lo, p.hi, seen,
+                                 matched);
       break;
     case ObservablePred::kIsNull:
-      ec->feedback->ObserveIsNull(table_oid, p.column, matched);
+      ec->feedback->ObserveIsNull(table_oid, p.column, seen, matched);
       break;
     case ObservablePred::kLike:
-      ec->feedback->ObserveLike(table_oid, p.column, p.pattern, matched);
+      ec->feedback->ObserveLike(table_oid, p.column, p.pattern, seen,
+                                matched);
       break;
   }
 }
@@ -258,16 +260,6 @@ void BumpBatchStats(ExecContext* ec, size_t rows) {
   ec->stats.batch_rows += rows;
 }
 
-/// Heterogeneous hash so encoded group/distinct keys can be probed as
-/// string_view without materializing a std::string per row (C++20
-/// transparent unordered lookup).
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 /// Rough decoded-row footprint for a table: Value header plus small-string
 /// storage per column, vector header per row. Used only to size batch row
 /// pools against the memory governor's quota, not for exact accounting.
@@ -334,9 +326,10 @@ void InitScratchCtx(ExecContext* ec, RowContext* ctx) {
 /// Applies residual conjuncts to a batch by compacting its selection
 /// vector, conjunct-major: conjunct j is only evaluated on the survivors
 /// of conjuncts 1..j-1, so per-row short-circuiting — and therefore the
-/// set of feedback observations (paper §3.2) — is the same at every batch
-/// cap. In-place compaction is safe because the write index never passes
-/// the read index.
+/// feedback totals (paper §3.2) — is the same at every batch cap. Each
+/// observable conjunct reports (rows evaluated, rows kept) once per batch.
+/// In-place compaction is safe because the write index never passes the
+/// read index.
 Status ApplyPredsToBatch(ExecContext* ec, uint32_t table_oid,
                          const std::vector<CheckedPred>& preds, RowBatch* b,
                          RowContext* ctx) {
@@ -351,26 +344,20 @@ Status ApplyPredsToBatch(ExecContext* ec, uint32_t table_oid,
       // Compiled simple conjunct: tight loop over the batch column, no
       // RowContext binding and no expression-tree walk per row.
       const FastPred& f = *p.fast;
-      const bool observe = p.observable.has_value() && ec != nullptr;
       for (size_t i = 0; i < n; ++i) {
         const size_t pos = b->Active(i);
-        const bool ok = FastMatch(f, *fast_col[pos]);
-        if (observe) Observe(ec, table_oid, *p.observable, ok);
+        if (FastMatch(f, *fast_col[pos])) sel[k++] = static_cast<uint16_t>(pos);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const size_t pos = b->Active(i);
+        b->BindRow(pos, ctx);
+        HDB_ASSIGN_OR_RETURN(const bool ok, p.expr->EvaluatesToTrue(*ctx));
         if (ok) sel[k++] = static_cast<uint16_t>(pos);
       }
-      b->SetSelection(k);
-      continue;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const size_t pos = b->Active(i);
-      b->BindRow(pos, ctx);
-      HDB_ASSIGN_OR_RETURN(const bool ok, p.expr->EvaluatesToTrue(*ctx));
-      if (p.observable.has_value() && ec != nullptr) {
-        Observe(ec, table_oid, *p.observable, ok);
-      }
-      if (ok) sel[k++] = static_cast<uint16_t>(pos);
     }
     b->SetSelection(k);
+    if (p.observable.has_value()) Observe(ec, table_oid, *p.observable, n, k);
   }
   return Status::OK();
 }
@@ -405,6 +392,68 @@ Status EvalExprInto(const Expr* e, const RowContext& ctx, Value* out) {
   *out = std::move(v);
   return Status::OK();
 }
+
+/// Reads a fixed list of expressions — projections, join keys, group keys,
+/// aggregate arguments — at each position of a batch (DESIGN.md §9). A
+/// plain column reference whose slot the batch binds is read in place from
+/// RowBatch::Column. Any other expression is evaluated with EvalExprInto
+/// into a scratch Value; that needs the row bound into a RowContext first
+/// (needs_row()). A null expression (COUNT(*)'s argument) reads as NULL.
+class BatchExprs {
+ public:
+  explicit BatchExprs(const std::vector<const Expr*>& exprs) {
+    items_.reserve(exprs.size());
+    for (const Expr* e : exprs) items_.emplace_back(e);
+  }
+
+  size_t size() const { return items_.size(); }
+
+  /// Looks up `b`'s pointer columns; call once per batch.
+  void Bind(const RowBatch& b) {
+    needs_row_ = false;
+    for (Item& it : items_) {
+      const Expr* e = it.expr;
+      it.col = nullptr;
+      if (e == nullptr) continue;
+      if (e->kind() == ExprKind::kColumnRef && e->quantifier() >= 0 &&
+          static_cast<size_t>(e->quantifier()) < b.num_slots()) {
+        it.col = b.Column(static_cast<size_t>(e->quantifier()));
+        it.column = e->column();
+      }
+      if (it.col == nullptr) needs_row_ = true;
+    }
+  }
+
+  /// True when some expression is evaluated rather than read in place:
+  /// bind each row into a RowContext and call Eval before Get.
+  bool needs_row() const { return needs_row_; }
+
+  /// Evaluates the expressions not read in place for the row in `ctx`.
+  Status Eval(const RowContext& ctx) {
+    for (Item& it : items_) {
+      if (it.col != nullptr || it.expr == nullptr) continue;
+      HDB_RETURN_IF_ERROR(EvalExprInto(it.expr, ctx, &it.scratch));
+    }
+    return Status::OK();
+  }
+
+  /// Expression `i` at batch position `pos`.
+  const Value& Get(size_t i, size_t pos) const {
+    const Item& it = items_[i];
+    return it.col != nullptr ? (*it.col[pos])[it.column] : it.scratch;
+  }
+
+ private:
+  struct Item {
+    explicit Item(const Expr* e) : expr(e) {}
+    const Expr* expr;
+    const table::Row* const* col = nullptr;  // null: evaluated
+    int column = 0;
+    Value scratch;
+  };
+  std::vector<Item> items_;
+  bool needs_row_ = false;
+};
 
 // ---------------------------------------------------------------------------
 // Column pruning (DESIGN.md §9): which columns of each quantifier's base
@@ -721,23 +770,16 @@ class FilterOp : public Operator {
   RowContext scratch_;
 };
 
+std::vector<const Expr*> ProjectionExprs(const PlanNode* plan) {
+  std::vector<const Expr*> out;
+  for (const auto& item : plan->projections) out.push_back(item.expr.get());
+  return out;
+}
+
 class ProjectOp : public Operator {
  public:
   ProjectOp(const PlanNode* plan, std::unique_ptr<Operator> child)
-      : plan_(plan), child_(std::move(child)) {
-    // Plain pass-through projection (every item a column reference) gets a
-    // dedicated loop reading child batch columns directly — no RowContext
-    // binding and no expression dispatch per row.
-    all_simple_ = !plan_->projections.empty();
-    for (const auto& item : plan_->projections) {
-      if (item.expr == nullptr || item.expr->kind() != ExprKind::kColumnRef ||
-          item.expr->quantifier() < 0) {
-        all_simple_ = false;
-        break;
-      }
-      simple_.emplace_back(item.expr->quantifier(), item.expr->column());
-    }
-  }
+      : child_(std::move(child)), exprs_(ProjectionExprs(plan)) {}
 
   Status Open() override { return child_->Open(); }
 
@@ -748,38 +790,22 @@ class ProjectOp : public Operator {
       scratch_.rows.assign(b->num_slots(), nullptr);
       scratch_.params = b->params();
     }
+    // Plain column items are copied straight from the child's pointer
+    // columns; a RowContext is bound only when some item is an expression.
+    // Copy-assign into the reused output slot keeps string capacity.
+    exprs_.Bind(*b);
     const size_t n = b->ActiveCount();
-    const size_t nproj = plan_->projections.size();
-    if (all_simple_) {
-      bool cols_ok = true;
-      src_cols_.resize(nproj);
-      for (size_t j = 0; j < nproj; ++j) {
-        src_cols_[j] = b->Column(simple_[j].first);
-        cols_ok &= src_cols_[j] != nullptr;
-      }
-      if (cols_ok) {
-        table::Row* outcol = b->OutputColumn();
-        for (size_t i = 0; i < n; ++i) {
-          const size_t pos = b->Active(i);
-          table::Row& out = outcol[pos];
-          out.resize(nproj);
-          for (size_t j = 0; j < nproj; ++j) {
-            out[j] = (*src_cols_[j][pos])[simple_[j].second];
-          }
-        }
-        return true;
-      }
-    }
+    const size_t nproj = exprs_.size();
+    table::Row* outcol = b->OutputColumn();
     for (size_t i = 0; i < n; ++i) {
       const size_t pos = b->Active(i);
-      b->BindRow(pos, &scratch_);
-      table::Row* out = b->OutputRow(pos);
-      out->resize(nproj);
-      for (size_t j = 0; j < nproj; ++j) {
-        // Copy-assign into the reused output slot keeps string capacity.
-        HDB_RETURN_IF_ERROR(EvalExprInto(plan_->projections[j].expr.get(),
-                                         scratch_, &(*out)[j]));
+      if (exprs_.needs_row()) {
+        b->BindRow(pos, &scratch_);
+        HDB_RETURN_IF_ERROR(exprs_.Eval(scratch_));
       }
+      table::Row& out = outcol[pos];
+      out.resize(nproj);
+      for (size_t j = 0; j < nproj; ++j) out[j] = exprs_.Get(j, pos);
     }
     return true;
   }
@@ -787,11 +813,8 @@ class ProjectOp : public Operator {
   void Close() override { child_->Close(); }
 
  private:
-  const PlanNode* plan_;
   std::unique_ptr<Operator> child_;
-  bool all_simple_ = false;
-  std::vector<std::pair<int, int>> simple_;  // (quantifier, column)
-  std::vector<const table::Row* const*> src_cols_;
+  BatchExprs exprs_;
   RowContext scratch_;
 };
 
@@ -842,7 +865,7 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
   }
 
   Status Open() override {
-    seen_.clear();
+    seen_.Clear();
     bytes_held_ = 0;
     spilled_ = false;
     draining_ = false;
@@ -871,18 +894,18 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
       size_t k = 0;
       for (size_t i = 0; i < n; ++i) {
         const size_t pos = b->Active(i);
-        EncodeValuesTo(b->output(pos), &key_buf_);
+        const table::Row& row = b->output(pos);
         if (spilled_) {
           // Deferred mode, possibly entered by a charge earlier in this
           // batch: the row joins the candidate stream.
-          HDB_RETURN_IF_ERROR(DeferRow(b->output(pos)));
+          HDB_RETURN_IF_ERROR(DeferRow(row));
           continue;
         }
-        // Transparent find: duplicates (the common case) never allocate.
         // A charge that spills us on this very key is still exactly-once:
         // the key went out with the emitted dump.
-        if (seen_.find(std::string_view(key_buf_)) == seen_.end()) {
-          HDB_RETURN_IF_ERROR(AdmitKey());
+        const uint64_t h = RowHash(row);
+        if (Find(h, row) == FlatHashTable::kAbsent) {
+          HDB_RETURN_IF_ERROR(AdmitKey(h, row));
           sel[k++] = static_cast<uint16_t>(pos);
         }
       }
@@ -899,7 +922,7 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
       ec_->memory->ReleaseBytes(bytes_held_);
     }
     bytes_held_ = 0;
-    seen_.clear();
+    seen_.Clear();
     emitted_spill_.reset();
     candidate_spill_.reset();
     drain_reader_.reset();
@@ -919,17 +942,23 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
   }
 
   Result<uint64_t> SpillSome(uint64_t /*target_bytes*/) override {
-    if (draining_ || seen_.empty()) return static_cast<uint64_t>(0);
+    if (draining_ || seen_.size() == 0) return static_cast<uint64_t>(0);
     if (!spilled_) {
       // First spill: the in-memory keys have all been emitted to the
-      // parent; persist them so the drain can still dedup against them.
+      // parent; persist them (encoded, one string each) so the drain can
+      // still dedup against them.
       if (emitted_spill_ == nullptr) {
         emitted_spill_ = std::make_unique<SpillFile>(ec_->pool);
         candidate_spill_ = std::make_unique<SpillFile>(ec_->pool);
       }
       const uint64_t before = emitted_spill_->byte_count();
-      for (const auto& key : seen_) {
-        HDB_RETURN_IF_ERROR(emitted_spill_->Append({Value::String(key)}));
+      std::vector<Value> tuple(1);
+      std::string encoded;
+      for (uint32_t e = 0; e < seen_.size(); ++e) {
+        encoded.clear();
+        AppendEncodedValues(seen_.key(e), seen_.arity(), &encoded);
+        tuple[0].SetString(encoded);
+        HDB_RETURN_IF_ERROR(emitted_spill_->Append(tuple));
       }
       const uint64_t delta = emitted_spill_->byte_count() - before;
       ec_->stats.spill_bytes_written += delta;
@@ -941,18 +970,34 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
     // the candidate file are legal (the drain dedups), so the cache is
     // pure memory.
     const uint64_t freed = bytes_held_;
-    seen_.clear();
+    seen_.Clear();
     bytes_held_ = 0;
     return freed;
   }
 
  private:
-  /// Inserts key_buf_ into seen_ and charges it. The charge may run the
+  /// A row's values as KeyTable key slots.
+  static auto Slots(const table::Row& row) {
+    return [&row](size_t i) -> const Value& { return row[i]; };
+  }
+  static uint64_t RowHash(const table::Row& row) {
+    return KeyHash(row.size(), Slots(row));
+  }
+  uint32_t Find(uint64_t h, const table::Row& row) const {
+    return seen_.Find(h, Slots(row));
+  }
+  /// Copies `row` into seen_, uncharged (the first row sets the arity).
+  void Remember(uint64_t h, const table::Row& row) {
+    if (seen_.size() == 0) seen_.Reset(row.size());
+    seen_.Insert(h, Slots(row));
+  }
+
+  /// Remembers `row` and charges its encoded size. The charge may run the
   /// spill scheduler against *this* operator (dump + clear); the caller
   /// handles the spilled_ transition.
-  Status AdmitKey() {
-    seen_.insert(key_buf_);
-    const uint64_t bytes = key_buf_.size() + 32;
+  Status AdmitKey(uint64_t h, const table::Row& row) {
+    Remember(h, row);
+    const uint64_t bytes = EncodedValuesBytes(row.data(), row.size()) + 32;
     bytes_held_ += bytes;
     if (ec_->memory != nullptr) {
       HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
@@ -962,18 +1007,17 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
 
   /// Deferred mode: dedup against the (droppable) cache, then append the
   /// row to the candidate stream instead of emitting.
-  Status DeferRow(const std::vector<Value>& tuple) {
-    if (seen_.find(std::string_view(key_buf_)) != seen_.end()) {
-      return Status::OK();
-    }
-    HDB_RETURN_IF_ERROR(AdmitKey());
-    if (seen_.find(std::string_view(key_buf_)) == seen_.end()) {
+  Status DeferRow(const table::Row& row) {
+    const uint64_t h = RowHash(row);
+    if (Find(h, row) != FlatHashTable::kAbsent) return Status::OK();
+    HDB_RETURN_IF_ERROR(AdmitKey(h, row));
+    if (Find(h, row) == FlatHashTable::kAbsent) {
       // The charge spilled us again and dropped the cache; re-seed it
       // (uncharged — the scheduler already took the account to zero).
-      seen_.insert(key_buf_);
+      Remember(h, row);
     }
     const uint64_t before = candidate_spill_->byte_count();
-    HDB_RETURN_IF_ERROR(candidate_spill_->Append(tuple));
+    HDB_RETURN_IF_ERROR(candidate_spill_->Append(row));
     const uint64_t delta = candidate_spill_->byte_count() - before;
     ec_->stats.spill_bytes_written += delta;
     op_spilled_bytes_ += delta;
@@ -985,17 +1029,21 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
   /// — it fit in memory once) and replay candidates in arrival order.
   Status PrepareDrain() {
     draining_ = true;  // before any charge: we are no longer a victim
-    seen_.clear();
+    seen_.Clear();
     const uint64_t stale = bytes_held_;
     bytes_held_ = 0;
     if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(stale);
     auto reader = emitted_spill_->Read();
     std::vector<Value> tuple;
+    std::vector<Value> key;
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&tuple));
       if (!more) break;
-      key_buf_ = tuple[0].AsString();
-      HDB_RETURN_IF_ERROR(AdmitKey());
+      const std::string& encoded = tuple[0].AsString();
+      size_t consumed = 0;
+      HDB_RETURN_IF_ERROR(
+          DecodeValuesInto(encoded.data(), encoded.size(), &consumed, &key));
+      HDB_RETURN_IF_ERROR(AdmitKey(RowHash(key), key));
     }
     ec_->stats.spill_bytes_read += emitted_spill_->byte_count();
     drain_reader_.emplace(candidate_spill_->Read());
@@ -1017,9 +1065,9 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
         drain_reader_.reset();
         break;
       }
-      EncodeValuesTo(out[n], &key_buf_);
-      if (seen_.find(std::string_view(key_buf_)) != seen_.end()) continue;
-      HDB_RETURN_IF_ERROR(AdmitKey());
+      const uint64_t h = RowHash(out[n]);
+      if (Find(h, out[n]) != FlatHashTable::kAbsent) continue;
+      HDB_RETURN_IF_ERROR(AdmitKey(h, out[n]));
       ++n;
     }
     b->SetSize(n);
@@ -1029,9 +1077,7 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
   const PlanNode* plan_;
   std::unique_ptr<Operator> child_;
   ExecContext* ec_;
-  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-      seen_;
-  std::string key_buf_;
+  KeyTable seen_;  // output rows, under the group/DISTINCT key identity
   uint64_t bytes_held_ = 0;
   bool spilled_ = false;
   bool draining_ = false;
@@ -1284,7 +1330,9 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   HashJoinOp(const PlanNode* plan, std::unique_ptr<Operator> outer,
              std::unique_ptr<Operator> inner, ExecContext* ec)
       : plan_(plan), outer_(std::move(outer)), inner_(std::move(inner)),
-        ec_(ec), extra_preds_(PrepareUnobserved(plan->extra_condition)) {
+        ec_(ec), extra_preds_(PrepareUnobserved(plan->extra_condition)),
+        build_key_({plan->inner_key.get()}),
+        probe_key_({plan->outer_key.get()}) {
     CollectBoundQuantifiers(plan_->children[0].get(), &outer_quants_);
     name = "hash_join";
   }
@@ -1450,16 +1498,24 @@ class HashJoinOp : public Operator, public MemoryConsumer {
                            inner_->NextBatch(build_batch_.get()));
       if (!more) break;
       const size_t bn = build_batch_->ActiveCount();
+      build_key_.Bind(*build_batch_);
+      const table::Row* const* rows = build_batch_->Column(build_quantifier_);
+      const bool bind = build_key_.needs_row() || rows == nullptr;
       for (size_t r = 0; r < bn; ++r) {
-        build_ctx.rows[build_quantifier_] = nullptr;
-        build_batch_->BindRow(build_batch_->Active(r), &build_ctx);
-        HDB_RETURN_IF_ERROR(
-            EvalExprInto(plan_->inner_key.get(), build_ctx, &key_scratch_));
-        const Value& key = key_scratch_;
+        const size_t pos = build_batch_->Active(r);
+        if (bind) {
+          build_ctx.rows[build_quantifier_] = nullptr;
+          build_batch_->BindRow(pos, &build_ctx);
+          HDB_RETURN_IF_ERROR(build_key_.Eval(build_ctx));
+        }
+        // In place: the build input is a scan of the build quantifier,
+        // whose rows no memory charge can take away.
+        const Value& key = build_key_.Get(0, pos);
         if (key.is_null()) continue;
         const uint64_t h = key.Hash();
         const int p = static_cast<int>(h % kPartitions);
-        const std::vector<Value>& row = *build_ctx.rows[build_quantifier_];
+        const std::vector<Value>& row =
+            rows != nullptr ? *rows[pos] : *build_ctx.rows[build_quantifier_];
         if (partition_spilled_[p]) {
           HDB_RETURN_IF_ERROR(AppendSpill(build_spill_[p].get(), row));
           continue;
@@ -1478,13 +1534,12 @@ class HashJoinOp : public Operator, public MemoryConsumer {
           if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(row_bytes);
           continue;
         }
-        const size_t idx = build_rows_.size();
         build_rows_.push_back(row);
         build_keys_.push_back(key);
         build_partition_.push_back(p);
         partition_rows_[p]++;
         partition_bytes_[p] += row_bytes;
-        table_[h].push_back(idx);
+        table_.Add(h);
       }
     }
     inner_->Close();
@@ -1538,24 +1593,28 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     emit_.clear();
     emit_pos_ = 0;
     const size_t on = outer_batch_->ActiveCount();
+    probe_key_.Bind(*outer_batch_);
     for (size_t i = 0; i < on; ++i) {
       const size_t opos = outer_batch_->Active(i);
-      outer_batch_->BindRow(opos, &probe_ctx_);
-      HDB_RETURN_IF_ERROR(
-          EvalExprInto(plan_->outer_key.get(), probe_ctx_, &key_scratch_));
-      const Value& key = key_scratch_;
+      if (probe_key_.needs_row()) {
+        outer_batch_->BindRow(opos, &probe_ctx_);
+        HDB_RETURN_IF_ERROR(probe_key_.Eval(probe_ctx_));
+      }
+      const Value& key = probe_key_.Get(0, opos);
       if (key.is_null()) continue;
       const uint64_t h = key.Hash();
       const int p = static_cast<int>(h % kPartitions);
       if (!outer_done_ && partition_spilled_[p]) {
+        outer_batch_->BindRow(opos, &probe_ctx_);
         flat_scratch_.clear();
         FlattenOuter(probe_ctx_, &flat_scratch_);
         HDB_RETURN_IF_ERROR(AppendSpill(probe_spill_[p].get(), flat_scratch_));
         continue;
       }
-      auto it = table_.find(h);
-      if (it == table_.end()) continue;
-      for (const size_t idx : it->second) {
+      // Matches come out in build order; rows of an evicted partition
+      // stay chained but carry partition -1.
+      for (uint32_t idx = table_.First(h); idx != JoinIndex::kEnd;
+           idx = table_.Next(idx)) {
         if (build_partition_[idx] == p &&
             build_keys_[idx].Compare(key) == 0) {
           emit_.emplace_back(static_cast<uint16_t>(opos), idx);
@@ -1626,7 +1685,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   }
 
   void ClearTable() {
-    table_.clear();
+    table_.Clear();
     build_rows_.clear();
     build_keys_.clear();
     build_partition_.clear();
@@ -1717,7 +1776,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
       key_ctx.rows[build_quantifier_] = &row;
       HDB_ASSIGN_OR_RETURN(Value key, plan_->inner_key->Evaluate(key_ctx));
       const uint64_t h = key.Hash();
-      table_[h].push_back(build_rows_.size());
+      table_.Add(h);
       build_partition_.push_back(static_cast<int>(h % kPartitions));
       build_keys_.push_back(std::move(key));
       build_rows_.push_back(std::move(row));
@@ -1846,8 +1905,8 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   std::vector<int> outer_quants_;
 
   // Hash table: the in-memory build side, or during replay the loaded
-  // spilled pair's build side.
-  std::unordered_map<uint64_t, std::vector<size_t>> table_;
+  // spilled pair's build side. Row r of table_ is build_rows_[r].
+  JoinIndex table_;
   std::vector<std::vector<Value>> build_rows_;
   std::vector<Value> build_keys_;
   std::vector<int> build_partition_;
@@ -1863,12 +1922,13 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   bool outer_done_ = false;
   std::unique_ptr<RowBatch> outer_batch_;
   std::unique_ptr<RowBatch> build_batch_;
-  std::vector<std::pair<uint16_t, size_t>> emit_;
+  std::vector<std::pair<uint16_t, uint32_t>> emit_;
   size_t emit_pos_ = 0;
   std::vector<CheckedPred> extra_preds_;
   std::vector<Value> flat_scratch_;
   size_t cap_ = kDefaultBatchCap;
-  Value key_scratch_;  // reused join-key value (keeps string capacity)
+  BatchExprs build_key_;  // inner_key over build batches
+  BatchExprs probe_key_;  // outer_key over probe batches
   RowContext probe_ctx_;
 
   // Spilled-partition (grace hash) replay state: the work queue of
@@ -1897,14 +1957,29 @@ class HashJoinOp : public Operator, public MemoryConsumer {
 // Hash group by with the low-memory fallback (paper §4.3)
 // ---------------------------------------------------------------------------
 
-// AggState and its update/merge/finalize/encode helpers live in
-// exec/agg.h, shared with the parallel pre-aggregation in exchange.cc.
+// AggState, its update/merge/finalize/encode helpers and GroupTable live
+// in exec/agg.h, shared with the parallel pre-aggregation in exchange.cc.
+
+/// Group and aggregate-argument expressions of a group-by plan node, in
+/// the order BatchExprs reads them.
+std::vector<const Expr*> GroupKeyExprs(const PlanNode* plan) {
+  std::vector<const Expr*> out;
+  for (const ExprPtr& k : plan->group_keys) out.push_back(k.get());
+  return out;
+}
+std::vector<const Expr*> AggArgExprs(const PlanNode* plan) {
+  std::vector<const Expr*> out;
+  for (const auto& a : plan->aggregates) out.push_back(a.arg.get());
+  return out;
+}
 
 class HashGroupByOp : public Operator, public MemoryConsumer {
  public:
   HashGroupByOp(const PlanNode* plan, std::unique_ptr<Operator> child,
                 ExecContext* ec)
-      : plan_(plan), child_(std::move(child)), ec_(ec) {
+      : plan_(plan), child_(std::move(child)), ec_(ec),
+        keys_(GroupKeyExprs(plan)), args_(AggArgExprs(plan)),
+        groups_(plan->group_keys.size(), plan->aggregates.size()) {
     name = "hash_group_by";
   }
 
@@ -1917,20 +1992,19 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
     emitting_ = false;
     HDB_RETURN_IF_ERROR(Aggregate());
     emitting_ = true;
-    pos_ = results_.begin();
+    pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
     b->Reset();
     const size_t group_slot = ec_->num_quantifiers;
-    // Bind result rows directly: the results_ map is stable for the whole
+    // Bind result rows directly: results_ is stable for the whole
     // emission phase, so no copy per group is needed.
     const table::Row** col = b->BindSlot(group_slot);
     size_t n = 0;
-    while (n < b->capacity() && pos_ != results_.end()) {
-      col[n++] = &pos_->second;
-      ++pos_;
+    while (n < b->capacity() && pos_ < results_.size()) {
+      col[n++] = &results_[pos_++];
     }
     if (n == 0) return false;
     b->SetSize(n);
@@ -1978,13 +2052,15 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
   }
 
   Result<uint64_t> SpillSome(uint64_t /*target_bytes*/) override {
-    if (emitting_ || groups_.empty()) return uint64_t{0};
+    if (emitting_ || groups_.size() == 0) return uint64_t{0};
     if (spill_ == nullptr) spill_ = std::make_unique<SpillFile>(ec_->pool);
     const uint64_t before = spill_->byte_count();
-    for (auto& [key, entry] : groups_) {
-      std::vector<Value> tuple = entry.key_values;
-      for (const AggState& s : entry.states) {
-        const auto enc = EncodeAggState(s);
+    const size_t nkeys = groups_.keys.arity();
+    std::vector<Value> tuple;
+    for (uint32_t g = 0; g < groups_.size(); ++g) {
+      tuple.assign(groups_.keys.key(g), groups_.keys.key(g) + nkeys);
+      for (size_t a = 0; a < groups_.naggs; ++a) {
+        const auto enc = EncodeAggState(groups_.states_of(g)[a]);
         tuple.insert(tuple.end(), enc.begin(), enc.end());
       }
       HDB_RETURN_IF_ERROR(spill_->Append(tuple));
@@ -1996,7 +2072,7 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
     ec_->stats.group_by_used_fallback = true;
     ec_->stats.group_by_spilled_groups += groups_.size();
     const uint64_t freed = bytes_held_;
-    groups_.clear();
+    groups_.Clear();
     bytes_held_ = 0;
     return freed;
   }
@@ -2006,11 +2082,6 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
   uint64_t SpilledTuples() const override { return op_spilled_tuples_; }
 
  private:
-  struct GroupEntry {
-    std::vector<Value> key_values;
-    std::vector<AggState> states;
-  };
-
   Status Aggregate() {
     HDB_RETURN_IF_ERROR(child_->Open());
     RowContext ctx;
@@ -2022,143 +2093,115 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
     }
     const size_t nkeys = plan_->group_keys.size();
     const size_t naggs = plan_->aggregates.size();
+    groups_.Clear();
     scratch_keys_.resize(nkeys);
     scratch_args_.resize(naggs);
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more,
                            child_->NextBatch(child_batch_.get()));
       if (!more) break;
+      keys_.Bind(*child_batch_);
+      args_.Bind(*child_batch_);
+      const bool bind = keys_.needs_row() || args_.needs_row();
       const size_t bn = child_batch_->ActiveCount();
       for (size_t r = 0; r < bn; ++r) {
-        child_batch_->BindRow(child_batch_->Active(r), &ctx);
-        for (size_t ki = 0; ki < nkeys; ++ki) {
-          HDB_RETURN_IF_ERROR(EvalExprInto(plan_->group_keys[ki].get(), ctx,
-                                           &scratch_keys_[ki]));
+        const size_t pos = child_batch_->Active(r);
+        if (bind) {
+          child_batch_->BindRow(pos, &ctx);
+          HDB_RETURN_IF_ERROR(keys_.Eval(ctx));
+          HDB_RETURN_IF_ERROR(args_.Eval(ctx));
         }
-        // Aggregate arguments are evaluated *before* any quota charge:
-        // charging may reclaim memory by evicting a hash-join partition
-        // below us, invalidating the rows the ctx slots point into.
+        auto key = [&](size_t i) -> const Value& { return keys_.Get(i, pos); };
+        const uint64_t h = KeyHash(nkeys, key);
+        const uint32_t g = groups_.keys.Find(h, key);
+        if (g == FlatHashTable::kAbsent) {
+          HDB_RETURN_IF_ERROR(AddGroup(h, pos));
+          continue;
+        }
+        AggState* states = groups_.states_of(g);
         for (size_t a = 0; a < naggs; ++a) {
-          const auto& spec = plan_->aggregates[a];
-          if (spec.arg != nullptr) {
-            HDB_RETURN_IF_ERROR(
-                EvalExprInto(spec.arg.get(), ctx, &scratch_args_[a]));
-          } else {
-            scratch_args_[a] = Value();
-          }
-        }
-        EncodeValuesTo(scratch_keys_, &key_buf_);
-        auto it = groups_.find(std::string_view(key_buf_));
-        if (it == groups_.end()) {
-          auto [it2, inserted] = groups_.try_emplace(key_buf_);
-          it = it2;
-          it->second.key_values = scratch_keys_;
-          it->second.states.resize(naggs);
-          const uint64_t bytes = key_buf_.size() + 64 * naggs + 64;
-          bytes_held_ += bytes;
-          if (ec_->memory != nullptr) {
-            // May pick this operator as spill victim, clearing groups_.
-            HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
-            if (groups_.empty()) {
-              auto [it3, ins3] = groups_.try_emplace(key_buf_);
-              it3->second.key_values = scratch_keys_;
-              it3->second.states.resize(naggs);
-              it = it3;
-            }
-          }
-        }
-        for (size_t a = 0; a < naggs; ++a) {
-          AggUpdate(it->second.states[a], plan_->aggregates[a].kind,
-                    scratch_args_[a]);
+          AggUpdate(states[a], plan_->aggregates[a].kind, args_.Get(a, pos));
         }
       }
     }
+    if (spill_ != nullptr) HDB_RETURN_IF_ERROR(MergeSpilled());
+    results_ = groups_.Finalize(plan_->aggregates);
+    return Status::OK();
+  }
 
-    // Finalize: merge the in-memory groups with any spilled partials.
-    results_.clear();
-    auto emit = [this](const std::string& key, const GroupEntry& e) {
-      auto [it, inserted] = results_.try_emplace(key);
-      if (inserted) {
-        it->second = e.key_values;
-        for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          it->second.push_back(
-              AggFinalize(e.states[a], plan_->aggregates[a].kind));
-        }
-      }
-    };
-    if (spill_ != nullptr) {
-      // Merge spilled partial groups first (keyed merge), then the
-      // residual in-memory groups.
-      std::map<std::string, GroupEntry> merged;
-      auto reader = spill_->Read();
-      std::vector<Value> tuple;
-      for (;;) {
-        HDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&tuple));
-        if (!more) break;
-        GroupEntry e;
-        e.key_values.assign(tuple.begin(), tuple.begin() + nkeys);
-        for (size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          e.states.push_back(
-              DecodeAggState(tuple, nkeys + a * kAggStateArity));
-        }
-        const std::string key = EncodeValues(e.key_values);
-        auto [it, inserted] = merged.try_emplace(key, e);
-        if (!inserted) {
-          for (size_t a = 0; a < e.states.size(); ++a) {
-            AggMerge(it->second.states[a], e.states[a]);
-          }
-        }
-      }
-      for (auto& [key, entry] : groups_) {
-        auto [it, inserted] = merged.try_emplace(key, entry);
-        if (!inserted) {
-          for (size_t a = 0; a < entry.states.size(); ++a) {
-            AggMerge(it->second.states[a], entry.states[a]);
-          }
-        }
-      }
-      for (const auto& [key, entry] : merged) emit(key, entry);
-      ec_->stats.spill_bytes_read += spill_->byte_count();
-      spill_.reset();
-    } else {
-      for (const auto& [key, entry] : groups_) emit(key, entry);
+  /// A row whose key is not in groups_ starts a group. Its keys and
+  /// arguments are copied out of the batch *before* the quota charge:
+  /// charging may reclaim memory by evicting a hash-join partition below
+  /// us, which frees the rows the batch points into. The charge may also
+  /// spill this operator, group included, in which case the group starts
+  /// again, uncharged (the scheduler took the account to zero).
+  Status AddGroup(uint64_t h, size_t pos) {
+    const size_t nkeys = scratch_keys_.size();
+    const size_t naggs = scratch_args_.size();
+    for (size_t i = 0; i < nkeys; ++i) scratch_keys_[i] = keys_.Get(i, pos);
+    for (size_t a = 0; a < naggs; ++a) scratch_args_[a] = args_.Get(a, pos);
+    auto key = [&](size_t i) -> const Value& { return scratch_keys_[i]; };
+    uint32_t g = groups_.Add(h, key);
+    const uint64_t bytes =
+        EncodedValuesBytes(scratch_keys_.data(), nkeys) + 64 * naggs + 64;
+    bytes_held_ += bytes;
+    if (ec_->memory != nullptr) {
+      HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
+      if (groups_.size() == 0) g = groups_.Add(h, key);
     }
-    groups_.clear();
+    AggState* states = groups_.states_of(g);
+    for (size_t a = 0; a < naggs; ++a) {
+      AggUpdate(states[a], plan_->aggregates[a].kind, scratch_args_[a]);
+    }
+    return Status::OK();
+  }
 
-    // Scalar aggregation (no GROUP BY) over zero rows still yields one row.
-    if (plan_->group_keys.empty() && results_.empty() &&
-        !plan_->aggregates.empty()) {
-      std::vector<Value> row;
-      for (const auto& spec : plan_->aggregates) {
-        row.push_back(AggFinalize(AggState{}, spec.kind));
+  /// Merges the spilled partial groups, in spill order, and then the
+  /// in-memory ones into a fresh table, which replaces groups_.
+  Status MergeSpilled() {
+    const size_t nkeys = groups_.keys.arity();
+    GroupTable merged(nkeys, groups_.naggs);
+    auto reader = spill_->Read();
+    std::vector<Value> tuple;
+    std::vector<AggState> partial(groups_.naggs);
+    for (;;) {
+      HDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&tuple));
+      if (!more) break;
+      for (size_t a = 0; a < partial.size(); ++a) {
+        partial[a] = DecodeAggState(tuple, nkeys + a * kAggStateArity);
       }
-      results_[""] = row;
+      merged.Merge(tuple.data(), partial.data());
     }
+    for (uint32_t g = 0; g < groups_.size(); ++g) {
+      merged.Merge(groups_.keys.key(g), groups_.states_of(g));
+    }
+    groups_ = std::move(merged);
+    ec_->stats.spill_bytes_read += spill_->byte_count();
+    spill_.reset();
     return Status::OK();
   }
 
   const PlanNode* plan_;
   std::unique_ptr<Operator> child_;
   ExecContext* ec_;
+  BatchExprs keys_;  // group keys, read in place where plain columns
+  BatchExprs args_;  // aggregate arguments, likewise
 
-  std::unordered_map<std::string, GroupEntry, TransparentStringHash,
-                     std::equal_to<>>
-      groups_;
+  GroupTable groups_;  // numbered in arrival order
   std::unique_ptr<SpillFile> spill_;
   uint64_t bytes_held_ = 0;
   bool emitting_ = false;
   uint64_t op_spilled_bytes_ = 0;
   uint64_t op_spilled_tuples_ = 0;
 
-  std::map<std::string, std::vector<Value>> results_;
-  std::map<std::string, std::vector<Value>>::iterator pos_;
+  std::vector<table::Row> results_;  // finalized, in emission order
+  size_t pos_ = 0;
 
-  // Child batch plus per-row scratch buffers (reused across the whole
+  // Child batch plus the new-group copies (reused across the whole
   // aggregation, so the hot loop does not allocate).
   std::unique_ptr<RowBatch> child_batch_;
   std::vector<Value> scratch_keys_;
   std::vector<Value> scratch_args_;
-  std::string key_buf_;
   RowContext emit_ctx_;
 };
 
@@ -2476,7 +2519,7 @@ class SortOp : public Operator, public MemoryConsumer {
       if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(bytes_held_);
       bytes_held_ = 0;
     }
-    std::vector<const SpillFile*> run_ptrs;
+    std::vector<SpillFile*> run_ptrs;
     run_ptrs.reserve(runs_.size());
     for (const auto& run : runs_) run_ptrs.push_back(run.get());
     merge_ = std::make_unique<SpillMergeReader>(

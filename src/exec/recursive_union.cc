@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/hash_table.h"
 #include "exec/spill.h"
 
 namespace hdb::exec {
@@ -28,9 +29,18 @@ Result<std::vector<RecursiveUnion::Row>> RecursiveUnion::Run(
     const std::vector<Row>& seed, const StepFn& step) {
   iterations_.clear();
   std::vector<Row> result;
-  std::unordered_set<std::string> seen;      // hash-probe shared work
+  KeyTable seen;                             // hash-probe shared work
   std::vector<std::string> sorted_history;   // sort-merge shared work
   bool sorted_dirty = false;
+  // Adds `row` to `seen` unless present; true when it was new.
+  auto remember = [&seen](const Row& row) {
+    auto get = [&row](size_t i) -> const Value& { return row[i]; };
+    const uint64_t h = KeyHash(row.size(), get);
+    if (seen.size() == 0) seen.Reset(row.size());
+    if (seen.Find(h, get) != FlatHashTable::kAbsent) return false;
+    seen.Insert(h, get);
+    return true;
+  };
 
   std::vector<Row> delta;
   // Seed iteration deduplicates too (UNION semantics).
@@ -43,8 +53,7 @@ Result<std::vector<RecursiveUnion::Row>> RecursiveUnion::Run(
     delta.clear();
     if (info.used == Strategy::kHashProbe) {
       for (Row& row : candidates) {
-        std::string key = EncodeValues(row);
-        if (seen.insert(key).second) {
+        if (remember(row)) {
           sorted_dirty = true;
           delta.push_back(std::move(row));
         }
@@ -52,7 +61,11 @@ Result<std::vector<RecursiveUnion::Row>> RecursiveUnion::Run(
     } else {
       // Sort-merge: sort candidate keys, merge against sorted history.
       if (sorted_dirty) {
-        sorted_history.assign(seen.begin(), seen.end());
+        sorted_history.resize(seen.size());
+        for (uint32_t e = 0; e < seen.size(); ++e) {
+          sorted_history[e].clear();
+          AppendEncodedValues(seen.key(e), seen.arity(), &sorted_history[e]);
+        }
         std::sort(sorted_history.begin(), sorted_history.end());
         sorted_dirty = false;
       }
@@ -71,7 +84,7 @@ Result<std::vector<RecursiveUnion::Row>> RecursiveUnion::Run(
         const bool in_history = std::binary_search(
             sorted_history.begin(), sorted_history.end(), key);
         if (!in_history) {
-          seen.insert(key);
+          remember(candidates[idx]);
           sorted_dirty = true;
           delta.push_back(std::move(candidates[idx]));
         }

@@ -5,7 +5,8 @@
 namespace hdb::stats {
 
 void FeedbackCollector::ObserveEquals(uint32_t table_oid, int col,
-                                      const Value& operand, bool matched) {
+                                      const Value& operand, uint64_t seen,
+                                      uint64_t matched) {
   AggKey key;
   key.table_oid = table_oid;
   key.col = col;
@@ -17,14 +18,14 @@ void FeedbackCollector::ObserveEquals(uint32_t table_oid, int col,
   }
   Agg& a = aggregates_[key];
   if (a.seen == 0) a.lo_value = operand;
-  a.seen++;
-  if (matched) a.matched++;
+  a.seen += seen;
+  a.matched += matched;
 }
 
 void FeedbackCollector::ObserveRange(uint32_t table_oid, int col,
                                      const std::optional<Value>& lo,
                                      const std::optional<Value>& hi,
-                                     bool matched) {
+                                     uint64_t seen, uint64_t matched) {
   AggKey key;
   key.table_oid = table_oid;
   key.col = col;
@@ -42,32 +43,41 @@ void FeedbackCollector::ObserveRange(uint32_t table_oid, int col,
     a.lo_value = lo;
     a.hi_value = hi;
   }
-  a.seen++;
-  if (matched) a.matched++;
+  a.seen += seen;
+  a.matched += matched;
 }
 
 void FeedbackCollector::ObserveIsNull(uint32_t table_oid, int col,
-                                      bool matched) {
+                                      uint64_t seen, uint64_t matched) {
   AggKey key;
   key.table_oid = table_oid;
   key.col = col;
   key.kind = Kind::kIsNull;
   Agg& a = aggregates_[key];
-  a.seen++;
-  if (matched) a.matched++;
+  a.seen += seen;
+  a.matched += matched;
 }
 
 void FeedbackCollector::ObserveLike(uint32_t table_oid, int col,
                                     const std::string& pattern,
-                                    bool matched) {
+                                    uint64_t seen, uint64_t matched) {
   AggKey key;
   key.table_oid = table_oid;
   key.col = col;
   key.kind = Kind::kLike;
   key.text = pattern;
   Agg& a = aggregates_[key];
-  a.seen++;
-  if (matched) a.matched++;
+  a.seen += seen;
+  a.matched += matched;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> FeedbackCollector::PendingCounts()
+    const {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (const auto& [key, agg] : aggregates_) {
+    out.emplace_back(agg.seen, agg.matched);
+  }
+  return out;
 }
 
 void FeedbackCollector::Flush(StatsRegistry* registry) {

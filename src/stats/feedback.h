@@ -5,6 +5,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/value.h"
 #include "stats/stats_registry.h"
@@ -16,28 +18,40 @@ struct FeedbackOptions {
   uint64_t min_rows = 16;
 };
 
-/// Gathers per-row predicate outcomes during query execution and folds
-/// them into the StatsRegistry at statement end (paper §3: "the server
+/// Gathers predicate outcomes during query execution and folds them into
+/// the StatsRegistry at statement end (paper §3: "the server
 /// automatically collects statistics as part of query execution").
 ///
-/// Per-row calls only aggregate counters in a small map; the histogram
-/// updates happen once per (column, predicate) at Flush() — the paper's
-/// "overhead ... must be carefully managed" constraint.
+/// Feedback comes from (almost) every predicate evaluation, so its cost is
+/// kept off the per-row path — the paper's "overhead ... must be carefully
+/// managed" constraint. The executor counts each conjunct's outcomes over
+/// a whole batch and reports them with one Observe* call per conjunct per
+/// batch: `seen` rows evaluated, `matched` of them true. Those calls only
+/// add to counters in a small map; the histogram updates happen once per
+/// (column, predicate) at Flush(). Totals are independent of the batch
+/// size, so Flush() sees the same (seen, matched) at every batch cap.
 class FeedbackCollector {
  public:
   using Options = FeedbackOptions;
 
   explicit FeedbackCollector(Options options = {}) : options_(options) {}
 
-  // Per-row observation hooks (hot path: map upsert + two increments).
+  // Per-batch observation hooks: `matched` of `seen` evaluations were
+  // true (map upsert + two additions).
   void ObserveEquals(uint32_t table_oid, int col, const Value& operand,
-                     bool matched);
+                     uint64_t seen, uint64_t matched);
   void ObserveRange(uint32_t table_oid, int col,
                     const std::optional<Value>& lo,
-                    const std::optional<Value>& hi, bool matched);
-  void ObserveIsNull(uint32_t table_oid, int col, bool matched);
+                    const std::optional<Value>& hi, uint64_t seen,
+                    uint64_t matched);
+  void ObserveIsNull(uint32_t table_oid, int col, uint64_t seen,
+                     uint64_t matched);
   void ObserveLike(uint32_t table_oid, int col, const std::string& pattern,
-                   bool matched);
+                   uint64_t seen, uint64_t matched);
+
+  /// Observation totals of one (column, predicate) aggregate, for tests:
+  /// {seen, matched} per pending aggregate, in the collector's key order.
+  std::vector<std::pair<uint64_t, uint64_t>> PendingCounts() const;
 
   /// Applies every aggregate with >= min_rows observations to `registry`
   /// and clears the collector.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -9,6 +10,7 @@
 #include "engine/database.h"
 #include "exec/agg.h"
 #include "exec/executor.h"
+#include "exec/hash_table.h"
 #include "exec/memory_governor.h"
 #include "exec/morsel.h"
 #include "exec/mpl_controller.h"
@@ -281,6 +283,8 @@ TEST(SpillTest, EncodeDecodeRoundTrip) {
       Value::Int(5), Value::Null(), Value::String("spilled"),
       Value::Double(2.5), Value::Boolean(true), Value::Timestamp(99)};
   const std::string bytes = EncodeValues(tuple);
+  // The memory charges of group and DISTINCT keys use this length.
+  EXPECT_EQ(EncodedValuesBytes(tuple.data(), tuple.size()), bytes.size());
   size_t consumed = 0;
   auto decoded = DecodeValues(bytes.data(), bytes.size(), &consumed);
   ASSERT_TRUE(decoded.ok());
@@ -288,6 +292,19 @@ TEST(SpillTest, EncodeDecodeRoundTrip) {
   ASSERT_EQ(decoded->size(), tuple.size());
   for (size_t i = 0; i < tuple.size(); ++i) {
     EXPECT_EQ(tuple[i].Compare((*decoded)[i]), 0);
+  }
+  // Decoding into a used vector overwrites every Value, whatever it held.
+  std::vector<Value> reused = {Value::String("old"), Value::Int(1),
+                               Value::Null(),       Value::String("x"),
+                               Value::Double(9),    Value::Boolean(false),
+                               Value::Int(7),       Value::Int(8)};
+  ASSERT_TRUE(
+      DecodeValuesInto(bytes.data(), bytes.size(), &consumed, &reused).ok());
+  ASSERT_EQ(reused.size(), tuple.size());
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    EXPECT_EQ(reused[i].type(), (*decoded)[i].type()) << i;
+    EXPECT_EQ(reused[i].is_null(), tuple[i].is_null()) << i;
+    EXPECT_EQ(tuple[i].Compare(reused[i]), 0) << i;
   }
 }
 
@@ -375,6 +392,200 @@ TEST(SpillTest, MergeReaderTiesKeepEarliestRun) {
   more = merge.Next(&tuple);
   ASSERT_TRUE(more.ok() && *more);
   EXPECT_EQ(tuple[1].AsString(), "second");
+}
+
+// Every record is [u32 len][payload] inside one page; reads see the
+// tuples of many pages in order, strings intact.
+TEST(SpillTest, TuplesAcrossPageBoundariesKeepOrderAndStrings) {
+  Fixture f;
+  SpillFile spill(&f.pool);
+  std::vector<std::vector<Value>> written;
+  uint64_t expect_bytes = 0;
+  for (int i = 0; i < 3000; ++i) {
+    // Lengths 0..299 so records end at every offset within a page.
+    std::vector<Value> t = {
+        Value::Int(i), Value::String(std::string(i % 300, 'a' + i % 26)),
+        i % 7 == 0 ? Value::Null() : Value::Double(i * 0.25)};
+    ASSERT_TRUE(spill.Append(t).ok());
+    expect_bytes += 4 + EncodeValues(t).size();
+    written.push_back(std::move(t));
+  }
+  EXPECT_EQ(spill.tuple_count(), written.size());
+  EXPECT_EQ(spill.byte_count(), expect_bytes);
+  EXPECT_GT(spill.page_count(), 100u);
+  auto reader = spill.Read();
+  std::vector<Value> tuple;
+  size_t i = 0;
+  for (;;) {
+    auto more = reader.Next(&tuple);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    ASSERT_LT(i, written.size());
+    ASSERT_EQ(tuple.size(), 3u);
+    EXPECT_EQ(tuple[0].AsInt(), written[i][0].AsInt());
+    EXPECT_EQ(tuple[1].AsString(), written[i][1].AsString());
+    EXPECT_EQ(tuple[2].is_null(), written[i][2].is_null());
+    if (!tuple[2].is_null()) {
+      EXPECT_EQ(tuple[2].AsDouble(), written[i][2].AsDouble());
+    }
+    ++i;
+  }
+  EXPECT_EQ(i, written.size());
+  // Reading changes none of the counts.
+  EXPECT_EQ(spill.tuple_count(), written.size());
+  EXPECT_EQ(spill.byte_count(), expect_bytes);
+}
+
+TEST(SpillTest, FileReadsTheSameTwice) {
+  Fixture f;
+  SpillFile spill(&f.pool);
+  for (int i = 0; i < 700; ++i) {
+    ASSERT_TRUE(spill
+                    .Append({Value::Bigint(i),
+                             Value::String("s" + std::to_string(i))})
+                    .ok());
+  }
+  const uint64_t bytes = spill.byte_count();
+  const size_t pages = spill.page_count();
+  auto read_all = [&spill]() {
+    std::vector<std::string> out;
+    auto reader = spill.Read();
+    std::vector<Value> tuple;
+    for (;;) {
+      auto more = reader.Next(&tuple);
+      EXPECT_TRUE(more.ok());
+      if (!more.ok() || !*more) break;
+      out.push_back(tuple[0].ToString() + tuple[1].AsString());
+    }
+    return out;
+  };
+  const auto first = read_all();
+  const auto second = read_all();
+  ASSERT_EQ(first.size(), 700u);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first.back(), "699s699");
+  EXPECT_EQ(spill.tuple_count(), 700u);
+  EXPECT_EQ(spill.byte_count(), bytes);
+  EXPECT_EQ(spill.page_count(), pages);
+}
+
+// A tuple appended after a reader drained the file is still read: the
+// tail page reaches the pool when a reader gets to it, and appends go on
+// in a fresh tail.
+TEST(SpillTest, AppendAfterReadIsReadNext) {
+  Fixture f;
+  SpillFile spill(&f.pool);
+  ASSERT_TRUE(spill.Append({Value::Int(1)}).ok());
+  auto reader = spill.Read();
+  std::vector<Value> tuple;
+  auto more = reader.Next(&tuple);
+  ASSERT_TRUE(more.ok() && *more);
+  EXPECT_EQ(tuple[0].AsInt(), 1);
+  more = reader.Next(&tuple);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+  ASSERT_TRUE(spill.Append({Value::Int(2)}).ok());
+  more = reader.Next(&tuple);
+  ASSERT_TRUE(more.ok() && *more);
+  EXPECT_EQ(tuple[0].AsInt(), 2);
+  EXPECT_EQ(spill.tuple_count(), 2u);
+}
+
+// --- Flat hash table (exec/hash_table.h) ---
+
+TEST(FlatHashTableTest, ForcedCollisionsStayDistinctEntries) {
+  FlatHashTable t;
+  std::vector<int> keys;
+  // Every key under one hash: only the equality predicate tells them apart.
+  for (int k = 0; k < 200; ++k) {
+    auto eq = [&](uint32_t e) { return keys[e] == k; };
+    ASSERT_EQ(t.Find(42, eq), FlatHashTable::kAbsent);
+    EXPECT_EQ(t.Insert(42), static_cast<uint32_t>(k));
+    keys.push_back(k);
+  }
+  for (int k = 0; k < 200; ++k) {
+    EXPECT_EQ(t.Find(42, [&](uint32_t e) { return keys[e] == k; }),
+              static_cast<uint32_t>(k));
+  }
+  EXPECT_EQ(t.Find(43, [](uint32_t) { return true; }), FlatHashTable::kAbsent);
+}
+
+TEST(FlatHashTableTest, GrowthKeepsEntryNumbers) {
+  FlatHashTable t;
+  // Hashes that differ only in their high bits, then only in their low
+  // bits: both must spread over the slots.
+  auto hash_of = [](uint64_t k) { return k < 5000 ? k << 40 : k; };
+  for (uint64_t k = 0; k < 10000; ++k) {
+    ASSERT_EQ(t.Insert(hash_of(k)), k);
+  }
+  EXPECT_EQ(t.size(), 10000u);
+  for (uint64_t k = 0; k < 10000; ++k) {
+    EXPECT_EQ(t.Find(hash_of(k), [&](uint32_t e) { return e == k; }), k);
+  }
+  t.Clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.Find(hash_of(7), [](uint32_t) { return true; }),
+            FlatHashTable::kAbsent);
+  EXPECT_EQ(t.Insert(hash_of(7)), 0u);
+}
+
+uint32_t FindOrAdd(KeyTable* t, const std::vector<Value>& key) {
+  auto get = [&](size_t i) -> const Value& { return key[i]; };
+  const uint64_t h = KeyHash(key.size(), get);
+  const uint32_t e = t->Find(h, get);
+  return e != FlatHashTable::kAbsent ? e : t->Insert(h, get);
+}
+
+// Group identity is EncodeValues identity: NULLs of any type are one key;
+// INT 1 and BIGINT 1, or 0.0 and -0.0, are two.
+TEST(KeyTableTest, IdentityIsTheEncodedKey) {
+  KeyTable t(2);
+  const uint32_t null_int =
+      FindOrAdd(&t, {Value::Null(TypeId::kInt), Value::String("x")});
+  EXPECT_EQ(FindOrAdd(&t, {Value::Null(TypeId::kDouble), Value::String("x")}),
+            null_int);
+  EXPECT_NE(FindOrAdd(&t, {Value::Null(), Value::String("y")}), null_int);
+  const uint32_t int1 = FindOrAdd(&t, {Value::Int(1), Value::Null()});
+  EXPECT_NE(FindOrAdd(&t, {Value::Bigint(1), Value::Null()}), int1);
+  EXPECT_EQ(FindOrAdd(&t, {Value::Int(1), Value::Null()}), int1);
+  EXPECT_NE(FindOrAdd(&t, {Value::Double(0.0), Value::Null()}),
+            FindOrAdd(&t, {Value::Double(-0.0), Value::Null()}));
+  EXPECT_EQ(t.size(), 6u);
+
+  // Equality alone must tell keys apart when their hashes collide.
+  KeyTable one(1);
+  const std::vector<Value> int_key = {Value::Int(1)};
+  const std::vector<Value> big_key = {Value::Bigint(1)};
+  auto slot = [](const std::vector<Value>& k) {
+    return [&k](size_t i) -> const Value& { return k[i]; };
+  };
+  one.Insert(/*h=*/7, slot(int_key));
+  EXPECT_EQ(one.Find(7, slot(int_key)), 0u);
+  EXPECT_EQ(one.Find(7, slot(big_key)), FlatHashTable::kAbsent);
+
+  // EncodedOrder sorts by the encoded bytes, like the map it replaced.
+  std::vector<std::string> encoded;
+  for (uint32_t e = 0; e < t.size(); ++e) {
+    encoded.push_back(EncodeValues({t.key(e)[0], t.key(e)[1]}));
+  }
+  std::vector<std::string> in_order;
+  for (const uint32_t e : t.EncodedOrder()) in_order.push_back(encoded[e]);
+  std::vector<std::string> sorted = encoded;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(in_order, sorted);
+}
+
+TEST(JoinIndexTest, ChainsKeepInsertionOrder) {
+  JoinIndex idx;
+  for (const uint64_t h : {5, 9, 5, 5, 9, 1}) idx.Add(h);
+  std::vector<uint32_t> fives;
+  for (uint32_t r = idx.First(5); r != JoinIndex::kEnd; r = idx.Next(r)) {
+    fives.push_back(r);
+  }
+  EXPECT_EQ(fives, (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_EQ(idx.First(1), 5u);
+  EXPECT_EQ(idx.Next(5), JoinIndex::kEnd);
+  EXPECT_EQ(idx.First(7), JoinIndex::kEnd);
 }
 
 // --- Recursive union (§4.3) ---
@@ -558,6 +769,109 @@ TEST_F(HashJoinAlternateTest, SwitchesAndMatchesHashStrategy) {
     EXPECT_EQ(alt.size(), 7u) << "cap " << cap;
     EXPECT_EQ(alt, hash) << "cap " << cap;
   }
+}
+
+// --- Hash operators on the flat table ---
+
+// `l` (k INT) probes a hash table built from `r` (kb BIGINT, kd DOUBLE),
+// with NULLs and duplicate keys on both sides.
+class HashOperatorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto db = engine::Database::Open();
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto conn = db_->Connect();
+    ASSERT_TRUE(conn.ok());
+    conn_ = std::move(*conn);
+    ASSERT_TRUE(conn_->Execute("CREATE TABLE l (k INT, tag INT)").ok());
+    ASSERT_TRUE(
+        conn_->Execute("CREATE TABLE r (kb BIGINT, kd DOUBLE, tag INT)").ok());
+    const Value null_int = Value::Null(TypeId::kInt);
+    ASSERT_TRUE(db_->LoadTable("l", {{Value::Int(1), Value::Int(10)},
+                                     {null_int, Value::Int(11)},
+                                     {Value::Int(2), Value::Int(12)},
+                                     {Value::Int(1), Value::Int(13)}})
+                    .ok());
+    const Value one = Value::Bigint(1);
+    const Value one_d = Value::Double(1.0);
+    ASSERT_TRUE(db_->LoadTable(
+                       "r", {{one, one_d, Value::Int(20)},
+                             {Value::Null(TypeId::kBigint),
+                              Value::Null(TypeId::kDouble), Value::Int(21)},
+                             {Value::Bigint(2), Value::Double(2.5),
+                              Value::Int(22)},
+                             {one, one_d, Value::Int(23)}})
+                    .ok());
+  }
+
+  /// Hash join of l.k against r's column `inner_col`; the (l.tag, r.tag)
+  /// pairs in emission order.
+  std::vector<std::pair<int64_t, int64_t>> Join(int inner_col, TypeId type) {
+    auto plan = std::make_unique<optimizer::PlanNode>();
+    plan->kind = optimizer::PlanKind::kHashJoin;
+    plan->outer_key = optimizer::Expr::Column(0, 0, TypeId::kInt, "l.k");
+    plan->inner_key = optimizer::Expr::Column(1, inner_col, type, "r.key");
+    for (int q = 0; q < 2; ++q) {
+      auto scan = std::make_unique<optimizer::PlanNode>();
+      scan->kind = optimizer::PlanKind::kSeqScan;
+      scan->quantifier = q;
+      scan->table = *db_->catalog().GetTable(q == 0 ? "l" : "r");
+      plan->children.push_back(std::move(scan));
+    }
+    ExecContext ec;
+    ec.pool = &db_->pool();
+    ec.table_heap = [this](uint32_t oid) { return db_->heap(oid); };
+    ec.index = [this](uint32_t oid) { return db_->btree(oid); };
+    ec.num_quantifiers = 2;
+    auto rows = ExecuteToRows(plan.get(), &ec);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<std::pair<int64_t, int64_t>> out;
+    if (!rows.ok()) return out;
+    for (const auto& row : *rows) {
+      out.emplace_back(row[1].AsInt(), row.back().AsInt());  // l.tag, r.tag
+    }
+    return out;
+  }
+
+  std::unique_ptr<engine::Database> db_;
+  std::unique_ptr<engine::Connection> conn_;
+};
+
+TEST_F(HashOperatorTest, JoinKeysMatchAcrossNumericTypesButNeverOnNull) {
+  // INT = BIGINT and INT = DOUBLE match by value (Value::Hash + Compare);
+  // a NULL on either side matches nothing; one probe row's matches come
+  // out in build order.
+  const std::vector<std::pair<int64_t, int64_t>> by_bigint = {
+      {10, 20}, {10, 23}, {12, 22}, {13, 20}, {13, 23}};
+  EXPECT_EQ(Join(0, TypeId::kBigint), by_bigint);
+  // 2.5 matches no INT.
+  const std::vector<std::pair<int64_t, int64_t>> by_double = {
+      {10, 20}, {10, 23}, {13, 20}, {13, 23}};
+  EXPECT_EQ(Join(1, TypeId::kDouble), by_double);
+}
+
+TEST_F(HashOperatorTest, NullGroupKeysFormOneGroup) {
+  ASSERT_TRUE(db_->LoadTable("l", {{Value::Null(TypeId::kInt), Value::Int(14)},
+                                   {Value::Int(2), Value::Int(15)}})
+                  .ok());
+  auto r = conn_->Execute(
+      "SELECT k, COUNT(*), SUM(tag) FROM l GROUP BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::map<std::string, std::string> groups;
+  for (const auto& row : r->rows) {
+    groups[row[0].ToString()] = row[1].ToString() + "/" + row[2].ToString();
+  }
+  const std::map<std::string, std::string> expect = {
+      {"NULL", "2/25"}, {"1", "2/23"}, {"2", "2/27"}};
+  EXPECT_EQ(groups, expect);
+  // NULL encodes smallest, so it is emitted first.
+  ASSERT_FALSE(r->rows.empty());
+  EXPECT_TRUE(r->rows[0][0].is_null());
+
+  auto d = conn_->Execute("SELECT DISTINCT k FROM l");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->rows.size(), 3u);
 }
 
 // --- MPL controller (§6 extension) ---

@@ -5,6 +5,9 @@
 
 #include "common/ophash.h"
 #include "common/rng.h"
+#include "engine/database.h"
+#include "exec/executor.h"
+#include "optimizer/plan.h"
 #include "stats/feedback.h"
 #include "stats/greenwald.h"
 #include "stats/histogram.h"
@@ -376,9 +379,10 @@ TEST(FeedbackCollectorTest, AggregatesAndFlushes) {
   reg.BuildColumn(def, 0, values);
 
   FeedbackCollector fc;
-  // Execution observes: k=3 matches 60% of rows now (data drifted).
-  for (int i = 0; i < 1000; ++i) {
-    fc.ObserveEquals(5, 0, Value::Int(3), i % 10 < 6);
+  // Execution observes: k=3 matches 60% of rows now (data drifted),
+  // reported per batch of 100 rows.
+  for (int i = 0; i < 10; ++i) {
+    fc.ObserveEquals(5, 0, Value::Int(3), /*seen=*/100, /*matched=*/60);
   }
   EXPECT_EQ(fc.pending(), 1u);
   fc.Flush(&reg);
@@ -395,10 +399,77 @@ TEST(FeedbackCollectorTest, MinRowsGuard) {
   const double before = reg.SelEquals(5, 0, Value::Int(3));
 
   FeedbackCollector fc(FeedbackOptions{.min_rows = 64});
-  for (int i = 0; i < 10; ++i) fc.ObserveEquals(5, 0, Value::Int(3), true);
+  fc.ObserveEquals(5, 0, Value::Int(3), /*seen=*/10, /*matched=*/10);
   fc.Flush(&reg);
   // Too few observations: estimate unchanged.
   EXPECT_DOUBLE_EQ(reg.SelEquals(5, 0, Value::Int(3)), before);
+}
+
+// The executor reports each conjunct's outcomes once per batch; because
+// conjuncts compact the batch in turn, every conjunct sees the same rows
+// at any batch cap, so the collector's totals cannot depend on it.
+TEST(FeedbackCollectorTest, BatchCapDoesNotChangeCounts) {
+  auto db = engine::Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto conn = (*db)->Connect();
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(
+      (*conn)->Execute("CREATE TABLE f (k INT, v INT, s VARCHAR(8))").ok());
+  std::vector<table::Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({Value::Int(i % 10), Value::Int(i),
+                    i % 13 == 0 ? Value::Null(TypeId::kVarchar)
+                                : Value::String(i % 3 == 0 ? "ab" : "ba")});
+  }
+  ASSERT_TRUE((*db)->LoadTable("f", rows).ok());
+
+  using optimizer::CompareOp;
+  using optimizer::Expr;
+  auto scan = std::make_unique<optimizer::PlanNode>();
+  scan->kind = optimizer::PlanKind::kSeqScan;
+  scan->quantifier = 0;
+  scan->table = *(*db)->catalog().GetTable("f");
+  // Range, then equality, then LIKE: each on the survivors of the last.
+  scan->residual = Expr::And(
+      Expr::And(Expr::Between(Expr::Column(0, 1, TypeId::kInt, "v"),
+                              Expr::Literal(Value::Int(100)),
+                              Expr::Literal(Value::Int(3999))),
+                Expr::Compare(CompareOp::kEq,
+                              Expr::Column(0, 0, TypeId::kInt, "k"),
+                              Expr::Literal(Value::Int(3)))),
+      Expr::Like(Expr::Column(0, 2, TypeId::kVarchar, "s"), "a%"));
+
+  auto counts_at = [&](size_t cap) {
+    FeedbackCollector fc;
+    exec::ExecContext ec;
+    ec.pool = &(*db)->pool();
+    ec.table_heap = [&](uint32_t oid) { return (*db)->heap(oid); };
+    ec.num_quantifiers = 1;
+    ec.batch_cap = cap;
+    ec.feedback = &fc;
+    auto out = exec::ExecuteToRows(scan.get(), &ec);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return fc.PendingCounts();
+  };
+  // Row-at-a-time reference: each conjunct sees the survivors of the one
+  // before it. Pending aggregates are ordered by column: k, v, s.
+  std::pair<uint64_t, uint64_t> k_eq, v_range, s_like;
+  for (const table::Row& r : rows) {
+    const int64_t v = r[1].AsInt();
+    ++v_range.first;
+    if (v < 100 || v > 3999) continue;
+    ++v_range.second;
+    ++k_eq.first;
+    if (r[0].AsInt() != 3) continue;
+    ++k_eq.second;
+    ++s_like.first;
+    if (!r[2].is_null() && r[2].AsString()[0] == 'a') ++s_like.second;
+  }
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {k_eq, v_range,
+                                                               s_like};
+  EXPECT_EQ(counts_at(1024), expected);
+  EXPECT_EQ(counts_at(1), expected);
+  EXPECT_EQ(counts_at(7), expected);
 }
 
 }  // namespace
