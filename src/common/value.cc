@@ -83,19 +83,10 @@ uint64_t Value::Hash() const {
     const uint8_t b = AsBool() ? 1 : 0;
     return FnvHash(&b, 1);
   }
-  // Hash ints and int-valued doubles identically so mixed-type equi-joins
-  // (INT = BIGINT, INT = DOUBLE with integral values) hash-partition
-  // consistently.
-  if (std::holds_alternative<double>(repr_)) {
-    const double d = AsDouble();
-    const auto as_int = static_cast<int64_t>(d);
-    if (static_cast<double>(as_int) == d) {
-      return FnvHash(&as_int, sizeof(as_int));
-    }
-    return FnvHash(&d, sizeof(d));
-  }
-  const int64_t i = AsInt();
-  return FnvHash(&i, sizeof(i));
+  // Ints and int-valued doubles hash identically (INT = BIGINT, INT =
+  // DOUBLE with integral values).
+  if (std::holds_alternative<double>(repr_)) return HashDouble(AsDouble());
+  return HashInt64(AsInt());
 }
 
 }  // namespace hdb

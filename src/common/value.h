@@ -2,6 +2,7 @@
 #define HDB_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -9,6 +10,30 @@
 #include "common/types.h"
 
 namespace hdb {
+
+/// The hashes Value::Hash is built on, for callers that hash a number
+/// without a Value — the heap scan reads join keys straight off the
+/// encoded row (exec/executor.cc). FNV-1a over the eight bytes.
+inline uint64_t HashInt64(int64_t i) {
+  uint64_t h = 14695981039346656037ull;
+  for (int b = 0; b < 8; ++b) {
+    h ^= static_cast<uint64_t>(i >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// An integral double hashes like the equal int64, so INT = DOUBLE
+/// equi-joins hash-partition consistently.
+inline uint64_t HashDouble(double d) {
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+    const auto as_int = static_cast<int64_t>(d);
+    if (static_cast<double>(as_int) == d) return HashInt64(as_int);
+  }
+  int64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(d));
+  return HashInt64(bits);
+}
 
 /// A dynamically-typed SQL value. SQL NULL is represented explicitly and
 /// compares with three-valued-logic helpers on Expression, not here; Value
@@ -41,6 +66,10 @@ class Value {
   bool is_null() const {
     return std::holds_alternative<std::monostate>(repr_);
   }
+  /// Which number the value holds: Compare is exact between two int64s
+  /// and goes through double otherwise.
+  bool holds_int64() const { return std::holds_alternative<int64_t>(repr_); }
+  bool holds_double() const { return std::holds_alternative<double>(repr_); }
 
   bool AsBool() const { return std::get<bool>(repr_); }
   int64_t AsInt() const { return std::get<int64_t>(repr_); }

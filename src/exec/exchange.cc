@@ -71,6 +71,7 @@ ExecContext MakeWorkerContext(const ExecContext& ec, MorselDispenser* source,
 /// after the crew joined, so no synchronization is needed.
 void FoldWorkerStats(ExecContext* ec, const RuntimeStats& w) {
   ec->stats.rows_scanned += w.rows_scanned;
+  ec->stats.rows_decoded += w.rows_decoded;
   ec->stats.batches += w.batches;
   ec->stats.batch_rows += w.batch_rows;
   ec->stats.batch_arena_peak_bytes =

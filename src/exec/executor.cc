@@ -1,6 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -8,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <queue>
+#include <span>
 #include <string_view>
 
 #include "common/ophash.h"
@@ -331,7 +333,7 @@ void InitScratchCtx(ExecContext* ec, RowContext* ctx) {
 /// In-place compaction is safe because the write index never passes the
 /// read index.
 Status ApplyPredsToBatch(ExecContext* ec, uint32_t table_oid,
-                         const std::vector<CheckedPred>& preds, RowBatch* b,
+                         std::span<const CheckedPred> preds, RowBatch* b,
                          RowContext* ctx) {
   for (const CheckedPred& p : preds) {
     const size_t n = b->ActiveCount();
@@ -512,6 +514,324 @@ void CollectBoundQuantifiers(const PlanNode* n, std::vector<int>* out) {
 }
 
 // ---------------------------------------------------------------------------
+// Pre-decode stage of the heap scan (DESIGN.md §9): the scan's leading
+// compiled conjuncts and the hash joins' key filters run on each row's
+// encoded bytes, and only the rows that pass them are decoded.
+// ---------------------------------------------------------------------------
+
+bool IntegralType(TypeId t) {
+  return t == TypeId::kInt || t == TypeId::kBigint || t == TypeId::kDate ||
+         t == TypeId::kTimestamp;
+}
+
+/// A column the pre-decode stage can read off the encoded row: a number
+/// ahead of the first VARCHAR. Its byte offset, or -1.
+int NumericOffset(const catalog::TableDef& table,
+                  const table::RowDecoder& decoder, int column) {
+  const TypeId t = table.columns[column].type;
+  if (!IntegralType(t) && t != TypeId::kDouble) return -1;
+  return decoder.FixedOffset(column);
+}
+
+/// A numeric column read straight off an encoded row at its fixed offset:
+/// the int64 Value it decodes to (INT is stored in 8 bytes and decodes
+/// through int32) and that value as a double, the two operands
+/// Value::Compare uses.
+struct EncodedNumber {
+  int64_t i = 0;
+  double d = 0;
+
+  EncodedNumber(const char* row, int offset, TypeId type) {
+    if (type == TypeId::kDouble) {
+      std::memcpy(&d, row + offset, 8);
+      return;
+    }
+    std::memcpy(&i, row + offset, 8);
+    if (type == TypeId::kInt) i = static_cast<int32_t>(i);
+    d = static_cast<double>(i);
+  }
+};
+
+/// A FastPred compiled against the encoded row: its column's fixed byte
+/// offset and type, and each literal as the number Value::Compare would
+/// compare with — exactly as int64s when column and literal both hold
+/// one, through double otherwise.
+struct ByteTerm {
+  struct Bound {
+    bool exact = false;
+    int64_t i = 0;
+    double d = 0;
+
+    int Compare(const EncodedNumber& x) const {
+      if (exact) return x.i < i ? -1 : (x.i > i ? 1 : 0);
+      const double diff = x.d - d;
+      return diff < 0 ? -1 : (diff > 0 ? 1 : 0);
+    }
+  };
+
+  int offset = 0;
+  TypeId type = TypeId::kInt;
+  bool is_between = false;
+  CompareOp op = CompareOp::kEq;
+  Bound lo, hi;
+
+  bool Matches(const char* row) const {
+    const EncodedNumber x(row, offset, type);
+    if (is_between) return lo.Compare(x) >= 0 && hi.Compare(x) <= 0;
+    const int c = lo.Compare(x);
+    switch (op) {
+      case CompareOp::kEq: return c == 0;
+      case CompareOp::kNe: return c != 0;
+      case CompareOp::kLt: return c < 0;
+      case CompareOp::kLe: return c <= 0;
+      case CompareOp::kGt: return c > 0;
+      case CompareOp::kGe: return c >= 0;
+    }
+    return false;
+  }
+};
+
+/// Compiles `f` when it compares a numeric column at a fixed offset with
+/// numeric literals.
+std::optional<ByteTerm> CompileByteTerm(const FastPred& f,
+                                        const catalog::TableDef& table,
+                                        const table::RowDecoder& decoder) {
+  if (f.column < 0 || static_cast<size_t>(f.column) >= table.columns.size()) {
+    return std::nullopt;
+  }
+  const TypeId type = table.columns[f.column].type;
+  const int offset = NumericOffset(table, decoder, f.column);
+  if (offset < 0) return std::nullopt;
+  const auto bound = [&](const Value& lit) -> std::optional<ByteTerm::Bound> {
+    if (!lit.holds_int64() && !lit.holds_double()) return std::nullopt;
+    ByteTerm::Bound b;
+    b.exact = IntegralType(type) && lit.holds_int64();
+    if (lit.holds_int64()) b.i = lit.AsInt();
+    b.d = lit.AsDouble();
+    return b;
+  };
+  ByteTerm t;
+  t.offset = offset;
+  t.type = type;
+  t.is_between = f.is_between;
+  t.op = f.op;
+  const auto lo = bound(f.lo);
+  if (!lo) return std::nullopt;
+  t.lo = *lo;
+  if (f.is_between) {
+    const auto hi = bound(f.hi);
+    if (!hi) return std::nullopt;
+    t.hi = *hi;
+  }
+  return t;
+}
+
+/// The heap scan's pre-decode stage. Prepare() compiles the longest
+/// leading run of the scan's conjuncts into ByteTerms (up to kMaxTerms);
+/// Admit() runs once per live row in scan order. A row with a NULL, or
+/// shorter than the terms need, is decoded first and its terms go through
+/// FastMatch. Each term counts (seen, matched) for the batch, so Report()
+/// gives the §3.2 feedback collector exactly what ApplyPredsToBatch would
+/// have.
+///
+/// Key filters published by hash joins (up to kMaxFilters; a filter is
+/// only ever an optimization, so more are declined) run after the terms,
+/// and only when every conjunct is a term: otherwise the remaining
+/// conjuncts' feedback would miss the rows they drop. A filter that has
+/// dropped under 1/kMinDropShare of the first kProbationRows rows it
+/// tested is switched off until the scan re-opens: hashing every row
+/// would cost more than the decodes it saves. Terms and filters live
+/// inline: a scan allocates nothing for them.
+class ScanGate {
+ public:
+  static constexpr size_t kMaxTerms = 8;
+  static constexpr size_t kMaxFilters = 4;
+  static constexpr uint64_t kProbationRows = 4096;
+  static constexpr uint64_t kMinDropShare = 32;
+
+  void Prepare(const catalog::TableDef& table, int quantifier,
+               const std::vector<CheckedPred>& preds,
+               const table::RowDecoder* decoder) {
+    table_ = &table;
+    decoder_ = decoder;
+    nterms_ = 0;
+    for (const CheckedPred& p : preds) {
+      if (!p.fast.has_value() || p.fast->slot != quantifier ||
+          nterms_ == kMaxTerms) {
+        break;
+      }
+      auto t = CompileByteTerm(*p.fast, table, *decoder);
+      if (!t) break;
+      terms_[nterms_++] = Term{*t, &p};
+    }
+    all_pushed_ = nterms_ == preds.size();
+    for (size_t i = 0; i < nfilters_; ++i) {
+      filters_[i].tested = filters_[i].dropped = 0;
+      filters_[i].on = true;
+    }
+    CompileFilters();
+  }
+
+  /// Conjuncts the stage evaluates: the first pushed() of the scan's.
+  size_t pushed() const { return nterms_; }
+
+  /// False when neither terms nor key filters run here: plain decode.
+  bool active() const { return nterms_ > 0 || FiltersHere(); }
+
+  bool AddFilter(int column, const KeyFilter* f) {
+    if (nfilters_ == kMaxFilters) return false;
+    filters_[nfilters_++] = Filter{column, -1, TypeId::kInt, f};
+    CompileFilters();
+    return true;
+  }
+
+  void RemoveFilter(const KeyFilter* f) {
+    size_t k = 0;
+    for (size_t i = 0; i < nfilters_; ++i) {
+      if (filters_[i].filter != f) filters_[k++] = filters_[i];
+    }
+    nfilters_ = k;
+    CompileFilters();
+  }
+
+  void BeginBatch() {
+    for (size_t j = 0; j < nterms_; ++j) terms_[j].seen = terms_[j].matched = 0;
+    decoded_ = 0;
+    for (size_t i = 0; i < nfilters_; ++i) {
+      Filter& k = filters_[i];
+      if (k.on && k.tested >= kProbationRows &&
+          k.dropped * kMinDropShare < k.tested) {
+        k.on = false;
+        CompileFilters();
+      }
+    }
+  }
+
+  /// Rows decoded since BeginBatch().
+  size_t decoded() const { return decoded_; }
+
+  Result<bool> Admit(const char* data, size_t len, table::Row* row) {
+    const bool on_bytes = len >= min_len_ && decoder_->NoNulls(data);
+    if (on_bytes) {
+      for (size_t j = 0; j < nterms_; ++j) {
+        Term& t = terms_[j];
+        ++t.seen;
+        if (!t.test.Matches(data)) return false;
+        ++t.matched;
+      }
+      if (FiltersHere()) {
+        for (size_t i = 0; i < nfilters_; ++i) {
+          Filter& k = filters_[i];
+          if (!k.on || k.offset < 0) continue;
+          const EncodedNumber x(data, k.offset, k.type);
+          const uint64_t h =
+              k.type == TypeId::kDouble ? HashDouble(x.d) : HashInt64(x.i);
+          if (!Passes(k, k.filter->MayContain(h))) return false;
+        }
+      }
+    }
+    HDB_RETURN_IF_ERROR(decoder_->DecodeInto(data, len, row));
+    ++decoded_;
+    if (!on_bytes) {
+      for (size_t j = 0; j < nterms_; ++j) {
+        Term& t = terms_[j];
+        ++t.seen;
+        if (!FastMatch(*t.pred->fast, *row)) return false;
+        ++t.matched;
+      }
+    }
+    if (FiltersHere()) {
+      for (size_t i = 0; i < nfilters_; ++i) {
+        Filter& k = filters_[i];
+        if (!k.on || (on_bytes && k.offset >= 0)) continue;
+        if (!Passes(k, MayJoin(k, *row))) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Reports the batch's outcomes of each term, in conjunct order, and
+  /// stops where ApplyPredsToBatch would: at the first term that saw no
+  /// rows.
+  void Report(ExecContext* ec, uint32_t table_oid) const {
+    for (size_t j = 0; j < nterms_ && terms_[j].seen > 0; ++j) {
+      const Term& t = terms_[j];
+      if (t.pred->observable.has_value()) {
+        Observe(ec, table_oid, *t.pred->observable, t.seen, t.matched);
+      }
+    }
+  }
+
+  /// Rows the key filters dropped, cumulative over the scan's lifetime.
+  uint64_t filtered() const { return filtered_; }
+
+ private:
+  struct Term {
+    ByteTerm test;
+    const CheckedPred* pred = nullptr;  // the conjunct it compiles
+    uint64_t seen = 0, matched = 0;     // this batch
+  };
+  struct Filter {
+    int column = 0;
+    int offset = -1;  // fixed byte offset when numeric, else -1
+    TypeId type = TypeId::kInt;
+    const KeyFilter* filter = nullptr;
+    uint64_t tested = 0, dropped = 0;  // since the scan opened
+    bool on = true;
+  };
+
+  bool FiltersHere() const { return all_pushed_ && filters_on_; }
+
+  /// Counts one test of filter `k`; false drops the row.
+  bool Passes(Filter& k, bool may_join) {
+    ++k.tested;
+    if (may_join) return true;
+    ++k.dropped;
+    ++filtered_;
+    return false;
+  }
+
+  static bool MayJoin(const Filter& k, const table::Row& row) {
+    const Value& v = row[k.column];
+    return !v.is_null() && k.filter->MayContain(v.Hash());
+  }
+
+  // Byte offsets of the filter keys, and the row length the byte path
+  // needs for every term and key.
+  void CompileFilters() {
+    if (decoder_ == nullptr) return;
+    min_len_ = static_cast<size_t>(decoder_->FixedOffset(0));  // the bitmap
+    for (size_t j = 0; j < nterms_; ++j) {
+      min_len_ = std::max(min_len_,
+                          static_cast<size_t>(terms_[j].test.offset) + 8);
+    }
+    filters_on_ = false;
+    for (size_t i = 0; i < nfilters_; ++i) {
+      Filter& k = filters_[i];
+      filters_on_ = filters_on_ || k.on;
+      if (!k.on) continue;
+      k.type = table_->columns[k.column].type;
+      k.offset = NumericOffset(*table_, *decoder_, k.column);
+      if (k.offset >= 0) {
+        min_len_ = std::max(min_len_, static_cast<size_t>(k.offset) + 8);
+      }
+    }
+  }
+
+  const catalog::TableDef* table_ = nullptr;
+  const table::RowDecoder* decoder_ = nullptr;
+  std::array<Term, kMaxTerms> terms_;
+  size_t nterms_ = 0;
+  bool all_pushed_ = false;
+  std::array<Filter, kMaxFilters> filters_;
+  size_t nfilters_ = 0;
+  bool filters_on_ = false;  // some filter is switched on
+  size_t min_len_ = 0;
+  size_t decoded_ = 0;
+  uint64_t filtered_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Scans
 // ---------------------------------------------------------------------------
 
@@ -565,6 +885,7 @@ class SeqScanOp : public Operator {
       needed = mask_storage_.data();
     }
     decoder_.Prepare(*plan_->table, needed);
+    gate_.Prepare(*plan_->table, plan_->quantifier, preds_, &decoder_);
     return Status::OK();
   }
 
@@ -601,33 +922,27 @@ class SeqScanOp : public Operator {
       // remainder over to the next pull instead of over-filling.
       const size_t n = std::min(cap, morsel_n_ - morsel_pos_);
       if (rows_pool_.size() < n) rows_pool_.resize(n);
+      gate_.BeginBatch();
+      size_t kept = 0;
       for (size_t i = 0; i < n; ++i) {
         const std::string& bytes = morsel_bytes_[morsel_pos_ + i];
-        HDB_RETURN_IF_ERROR(
-            decoder_.DecodeInto(bytes.data(), bytes.size(), &rows_pool_[i]));
+        HDB_ASSIGN_OR_RETURN(const bool keep,
+                             Admit(bytes.data(), bytes.size(),
+                                   &rows_pool_[kept]));
+        kept += keep ? 1 : 0;
       }
       morsel_pos_ += n;
-      ec_->stats.rows_scanned += n;
-      BumpBatchStats(ec_, n);
-      const table::Row** col = b->BindSlot(plan_->quantifier);
-      for (size_t i = 0; i < n; ++i) col[i] = &rows_pool_[i];
-      b->SetSize(n);
-      HDB_RETURN_IF_ERROR(
-          ApplyPredsToBatch(ec_, plan_->table->oid, preds_, b, &scratch_));
-      return true;
+      return FinishBatch(b, n, kept);
     }
+    gate_.BeginBatch();
     HDB_ASSIGN_OR_RETURN(
-        const size_t n, it_->NextRows(cap, &rows_pool_, &rids_pool_,
-                                      &decoder_));
-    if (n == 0) return false;
-    ec_->stats.rows_scanned += n;
-    BumpBatchStats(ec_, n);
-    const table::Row** col = b->BindSlot(plan_->quantifier);
-    for (size_t i = 0; i < n; ++i) col[i] = &rows_pool_[i];
-    b->SetSize(n);
-    HDB_RETURN_IF_ERROR(
-        ApplyPredsToBatch(ec_, plan_->table->oid, preds_, b, &scratch_));
-    return true;
+        const table::TableHeap::Iterator::Step step,
+        it_->NextRowsIf(cap, &rows_pool_, &rids_pool_,
+                        [this](const char* data, size_t len, table::Row* row) {
+                          return Admit(data, len, row);
+                        }));
+    if (step.examined == 0) return false;
+    return FinishBatch(b, step.examined, step.kept);
   }
 
   void Close() override {
@@ -635,7 +950,48 @@ class SeqScanOp : public Operator {
     ReleaseArena(ec_, &arena_charged_);
   }
 
+  bool AcceptKeyFilter(int quantifier, int column,
+                       const KeyFilter* f) override {
+    if (quantifier != plan_->quantifier || plan_->table->is_virtual ||
+        column < 0 ||
+        static_cast<size_t>(column) >= plan_->table->columns.size()) {
+      return false;
+    }
+    return gate_.AddFilter(column, f);
+  }
+
+  void WithdrawKeyFilter(const KeyFilter* f) override {
+    gate_.RemoveFilter(f);
+  }
+
+  uint64_t KeyFilteredRows() const override { return gate_.filtered(); }
+
  private:
+  Result<bool> Admit(const char* data, size_t len, table::Row* row) {
+    if (gate_.active()) return gate_.Admit(data, len, row);
+    HDB_RETURN_IF_ERROR(decoder_.DecodeInto(data, len, row));
+    return true;
+  }
+
+  /// Binds the `kept` of `examined` rows the gate let through, reports
+  /// the gate's terms and applies the remaining conjuncts. The batch stays one of at
+  /// most `cap` examined rows, so rows_scanned, batch boundaries and
+  /// feedback do not depend on how many the gate dropped.
+  Result<bool> FinishBatch(RowBatch* b, size_t examined, size_t kept) {
+    ec_->stats.rows_scanned += examined;
+    ec_->stats.rows_decoded += gate_.active() ? gate_.decoded() : examined;
+    BumpBatchStats(ec_, examined);
+    const table::Row** col = b->BindSlot(plan_->quantifier);
+    for (size_t i = 0; i < kept; ++i) col[i] = &rows_pool_[i];
+    b->SetSize(kept);
+    gate_.Report(ec_, plan_->table->oid);
+    HDB_RETURN_IF_ERROR(
+        ApplyPredsToBatch(ec_, plan_->table->oid,
+                          std::span(preds_).subspan(gate_.pushed()), b,
+                          &scratch_));
+    return true;
+  }
+
   const PlanNode* plan_;
   ExecContext* ec_;
   std::vector<CheckedPred> preds_;
@@ -659,6 +1015,7 @@ class SeqScanOp : public Operator {
   std::vector<uint8_t> mask_storage_;  // padded to the table's arity
   table::RowDecoder decoder_;          // compiled (schema, mask) decode
   RowContext scratch_;
+  ScanGate gate_;                      // pre-decode stage
 };
 
 class IndexScanOp : public Operator {
@@ -1351,11 +1708,13 @@ class HashJoinOp : public Operator, public MemoryConsumer {
                                               ec_->params);
     emit_.clear();
     emit_pos_ = 0;
+    ResetBuildState();
     if (ec_->memory != nullptr) {
       plan_level = 1;
       predicted_pages = plan_->memory_quota_pages;
       ec_->memory->RegisterConsumer(this);
     }
+    HDB_RETURN_IF_ERROR(PublishKeyFilter());
     HDB_RETURN_IF_ERROR(BuildPhase());
     if (plan_->alt_index_nl && !AnyPartitionSpilled() &&
         TotalBuildRows() <= plan_->alt_switch_threshold_rows &&
@@ -1414,6 +1773,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   void Close() override {
     outer_->Close();
     inner_->Close();
+    WithdrawOwnFilter();
     if (alt_probe_ != nullptr) alt_probe_->Close();
     if (ec_->memory != nullptr) {
       ec_->memory->UnregisterConsumer(this);
@@ -1485,6 +1845,68 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     return false;
   }
 
+  /// Sizes this join's key filter and offers it to the probe child
+  /// (DESIGN.md §9) before either input opens; BuildPhase sets its bits,
+  /// so the scan only reads it once they are all set. Only a heap scan
+  /// directly below the join takes it: below another join or a LIMIT it
+  /// would change that operator's actual rows. The filter is sized once
+  /// from the build estimate, capped at 1/16 of the join's grant and
+  /// charged to the statement. Only a plain-column probe key qualifies.
+  Status PublishKeyFilter() {
+    WithdrawOwnFilter();
+    const Expr* key = plan_->outer_key.get();
+    if (key == nullptr || key->kind() != ExprKind::kColumnRef ||
+        !outer_->AcceptKeyFilter(key->quantifier(), key->column(), &filter_)) {
+      return Status::OK();
+    }
+    filter_published_ = true;
+    const uint64_t page_bytes = ec_->pool != nullptr
+                                    ? ec_->pool->page_bytes()
+                                    : storage::kDefaultPageBytes;
+    uint64_t grant_pages = plan_->memory_quota_pages;
+    if (ec_->memory != nullptr) {
+      const uint64_t soft = ec_->memory->soft_limit_pages();
+      grant_pages = grant_pages == 0 ? soft : std::min(grant_pages, soft);
+    }
+    if (grant_pages == 0) grant_pages = kDefaultFilterGrantPages;
+    filter_.Reset(plan_->children[1]->est_rows, grant_pages * page_bytes / 16);
+    if (ec_->memory != nullptr) {
+      HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(filter_.bytes()));
+      filter_charged_ = filter_.bytes();
+    }
+    return Status::OK();
+  }
+
+  /// Drops whatever a previous Open left behind (an NL join re-opens its
+  /// inner side once per outer row).
+  void ResetBuildState() {
+    ClearTable();
+    for (int p = 0; p < kPartitions; ++p) {
+      partition_rows_[p] = 0;
+      partition_bytes_[p] = 0;
+      partition_spilled_[p] = false;
+      build_spill_[p].reset();
+      probe_spill_[p].reset();
+    }
+    outer_done_ = false;
+    spill_queue_.clear();
+    current_pair_ = SpillPair{};
+    probe_reader_.reset();
+    spill_loaded_ = false;
+    alternate_ = false;
+    alt_probe_.reset();
+    alt_build_pos_ = 0;
+  }
+
+  void WithdrawOwnFilter() {
+    if (filter_published_) outer_->WithdrawKeyFilter(&filter_);
+    filter_published_ = false;
+    if (ec_->memory != nullptr && filter_charged_ > 0) {
+      ec_->memory->ReleaseBytes(filter_charged_);
+    }
+    filter_charged_ = 0;
+  }
+
   Status BuildPhase() {
     HDB_RETURN_IF_ERROR(inner_->Open());
     RowContext build_ctx;
@@ -1513,6 +1935,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
         const Value& key = build_key_.Get(0, pos);
         if (key.is_null()) continue;
         const uint64_t h = key.Hash();
+        if (filter_published_) filter_.Add(h);
         const int p = static_cast<int>(h % kPartitions);
         const std::vector<Value>& row =
             rows != nullptr ? *rows[pos] : *build_ctx.rows[build_quantifier_];
@@ -1896,10 +2319,19 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
   }
 
+  /// Grant assumed for sizing the key filter when neither the plan nor a
+  /// memory context gives one.
+  static constexpr uint64_t kDefaultFilterGrantPages = 64;
+
   const PlanNode* plan_;
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   ExecContext* ec_;
+
+  // Key filter over the build keys, published to the probe-side scan.
+  KeyFilter filter_;
+  bool filter_published_ = false;
+  uint64_t filter_charged_ = 0;
 
   int build_quantifier_ = -1;
   std::vector<int> outer_quants_;
@@ -2615,14 +3047,30 @@ class ObservedOp : public Operator {
     if (actuals_ == nullptr) return inner_->NextBatch(batch);
     const auto t0 = std::chrono::steady_clock::now();
     const obs::WaitBreakdown w0 = obs::CurrentWaitBreakdown();
+    const uint64_t filtered0 = inner_->KeyFilteredRows();
     Result<bool> r = inner_->NextBatch(batch);
     optimizer::OpActuals& a = Sample(t0, w0);
     a.invocations++;
     a.batches++;
     // Actual rows are the *selected* rows the operator produced — not
-    // the number of NextBatch pulls (DESIGN.md §6).
+    // the number of NextBatch pulls (DESIGN.md §6) — including those that
+    // passed its own predicates and then a hash join's key filter.
+    const uint64_t filtered = inner_->KeyFilteredRows() - filtered0;
+    a.hash_filtered += filtered;
+    a.rows += filtered;
     if (r.ok() && *r) a.rows += batch->ActiveCount();
     return r;
+  }
+
+  bool AcceptKeyFilter(int quantifier, int column,
+                       const KeyFilter* f) override {
+    return inner_->AcceptKeyFilter(quantifier, column, f);
+  }
+  void WithdrawKeyFilter(const KeyFilter* f) override {
+    inner_->WithdrawKeyFilter(f);
+  }
+  uint64_t KeyFilteredRows() const override {
+    return inner_->KeyFilteredRows();
   }
 
   void Close() override {

@@ -18,9 +18,14 @@
 
 namespace hdb::exec {
 
+class KeyFilter;
+
 /// Counters the adaptive machinery exposes for tests and benches.
 struct RuntimeStats {
   uint64_t rows_scanned = 0;
+  /// Heap-scan rows decoded into Values: rows_scanned less the rows the
+  /// scan's pre-decode stage dropped on their encoded bytes (DESIGN.md §9).
+  uint64_t rows_decoded = 0;
   uint64_t rows_output = 0;
   uint64_t hash_partitions_evicted = 0;
   uint64_t hash_spilled_tuples = 0;
@@ -135,6 +140,22 @@ class Operator {
   /// SpillFiles). Sampled by EXPLAIN ANALYZE for the `spilled=` actuals.
   virtual uint64_t SpilledBytes() const { return 0; }
   virtual uint64_t SpilledTuples() const { return 0; }
+
+  /// Hash-join key filters (DESIGN.md §9). A hash join offers `f`, a
+  /// filter over column `column` of quantifier `quantifier`, to its probe
+  /// child; true when taken. Only a heap scan binding that quantifier
+  /// takes one and no operator passes an offer on, so a filter never
+  /// crosses an operator whose actual rows it would change.
+  virtual bool AcceptKeyFilter(int /*quantifier*/, int /*column*/,
+                               const KeyFilter* /*f*/) {
+    return false;
+  }
+  /// Withdraws `f` wherever AcceptKeyFilter placed it.
+  virtual void WithdrawKeyFilter(const KeyFilter* /*f*/) {}
+  /// Rows a key filter dropped inside this operator, cumulative. They
+  /// passed the operator's own predicates (EXPLAIN ANALYZE counts them in
+  /// actual rows and prints them as hash_filter=).
+  virtual uint64_t KeyFilteredRows() const { return 0; }
 };
 
 /// True when the plan's root chain (Project or HashDistinct, under any

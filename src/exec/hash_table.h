@@ -259,6 +259,56 @@ class JoinIndex {
   std::vector<uint32_t> next_;  // [row] next row of its chain, or kEnd
 };
 
+/// A hash join's build-side key filter (DESIGN.md §9): a blocked Bloom
+/// filter over the build keys' Value::Hash, one 64-bit word per key and
+/// two bits set in it. MayContain is never false for a hash that was
+/// added, so a probe row it rejects cannot join; a saturated or
+/// undersized filter only lets more rows through.
+class KeyFilter {
+ public:
+  /// Sizes the filter for `keys` keys at 8-16 bits each (a power-of-two
+  /// word count), at most `max_bytes` and at least one word, and clears
+  /// it.
+  void Reset(double keys, uint64_t max_bytes) {
+    uint64_t words = 1;
+    while (words * 2 * 64 <= keys * 16 && words * 2 * 8 <= max_bytes) {
+      words *= 2;
+    }
+    words_.assign(words, 0);
+    shift_ = 64 - std::countr_zero(words);
+  }
+
+  void Add(uint64_t h) {
+    const uint64_t m = Mix(h);
+    words_[Word(m)] |= Bits(m);
+  }
+
+  bool MayContain(uint64_t h) const {
+    const uint64_t m = Mix(h);
+    const uint64_t bits = Bits(m);
+    return (words_[Word(m)] & bits) == bits;
+  }
+
+  uint64_t bytes() const { return words_.size() * sizeof(uint64_t); }
+
+ private:
+  // Value::Hash is FNV-1a, whose low output bits see only the low bits of
+  // each input byte: one Fibonacci multiply spreads them upward, then the
+  // word comes from the top bits and the two bit positions from bits
+  // 20-31 (a filter never has 2^32 words).
+  static uint64_t Mix(uint64_t h) { return h * 0x9e3779b97f4a7c15ull; }
+  size_t Word(uint64_t m) const {
+    return shift_ == 64 ? 0 : static_cast<size_t>(m >> shift_);
+  }
+  static uint64_t Bits(uint64_t m) {
+    return (uint64_t{1} << ((m >> 20) & 63)) |
+           (uint64_t{1} << ((m >> 26) & 63));
+  }
+
+  std::vector<uint64_t> words_;
+  int shift_ = 64;
+};
+
 }  // namespace hdb::exec
 
 #endif  // HDB_EXEC_HASH_TABLE_H_

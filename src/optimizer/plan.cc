@@ -76,6 +76,11 @@ std::string PlanNode::Explain(int indent, const OpActualsMap* actuals) const {
                       static_cast<unsigned long long>(a.batches));
         out += buf;
       }
+      if (a.hash_filtered > 0) {
+        std::snprintf(buf, sizeof(buf), " hash_filter=%llu",
+                      static_cast<unsigned long long>(a.hash_filtered));
+        out += buf;
+      }
       if (a.workers > 0) {
         std::snprintf(buf, sizeof(buf), " workers=%d", a.workers);
         out += buf;

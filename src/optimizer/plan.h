@@ -28,6 +28,9 @@ struct OpActuals {
   uint64_t peak_memory_bytes = 0;  // high-water mark of MemoryBytes()
   uint64_t spilled_bytes = 0;      // cumulative bytes written to SpillFiles
   uint64_t spilled_tuples = 0;     // cumulative tuples written to SpillFiles
+  // Rows a scan's own predicates passed and a hash join's key filter then
+  // dropped before decode (counted in `rows`, printed as hash_filter=).
+  uint64_t hash_filtered = 0;
   // Wait-cause deltas (statement-trace tallies attributed to this
   // operator's Open/Next scope, children included — same nesting rule as
   // wall_micros). Zero unless a statement trace was installed.

@@ -161,45 +161,45 @@ void RowDecoder::Prepare(const catalog::TableDef& schema,
   bitmap_bytes_ = (ncols + 7) / 8;
   min_len_ = bitmap_bytes_;
   fast_ok_ = true;
-  uint32_t off = static_cast<uint32_t>(bitmap_bytes_);
-  bool fixed_prefix = true;  // no VARCHAR seen yet: offsets are static
   for (size_t i = 0; i < ncols; ++i) {
     const TypeId t = schema.columns[i].type;
     const bool want = needed == nullptr || needed[i] != 0;
+    const int off = FixedOffset(i);
     if (!want) {
       nulled_.push_back(static_cast<uint32_t>(i));
-    } else if (!fixed_prefix) {
+    } else if (off < 0) {
       fast_ok_ = false;  // needed column behind a VARCHAR: generic walk
     } else {
-      fixed_.push_back(FixedCol{static_cast<uint32_t>(i), off, t});
+      fixed_.push_back(
+          FixedCol{static_cast<uint32_t>(i), static_cast<uint32_t>(off), t});
       const size_t width = t == TypeId::kBoolean ? 1
                            : t == TypeId::kVarchar ? 2  // length prefix
                                                    : 8;
       min_len_ = std::max(min_len_, static_cast<size_t>(off) + width);
     }
-    switch (t) {
+  }
+}
+
+int RowDecoder::FixedOffset(size_t column) const {
+  size_t off = bitmap_bytes_;
+  for (size_t i = 0; i < column; ++i) {
+    switch (schema_->columns[i].type) {
       case TypeId::kBoolean:
         off += 1;
         break;
-      case TypeId::kInt:
-      case TypeId::kBigint:
-      case TypeId::kDate:
-      case TypeId::kTimestamp:
-      case TypeId::kDouble:
-        off += 8;
-        break;
       case TypeId::kVarchar:
-        fixed_prefix = false;  // row-dependent length from here on
+        return -1;
+      default:
+        off += 8;
         break;
     }
   }
+  return static_cast<int>(off);
 }
 
 Status RowDecoder::DecodeInto(const char* data, size_t len, Row* row) const {
   if (fast_ok_ && len >= min_len_) {
-    bool no_nulls = true;
-    for (size_t b = 0; b < bitmap_bytes_; ++b) no_nulls &= data[b] == 0;
-    if (no_nulls) {
+    if (NoNulls(data)) {
       row->resize(schema_->columns.size());
       for (const FixedCol& f : fixed_) {
         Value& v = (*row)[f.column];

@@ -54,6 +54,19 @@ class RowDecoder {
   /// schema/mask. Requires Prepare() first.
   Status DecodeInto(const char* data, size_t len, Row* row) const;
 
+  /// Byte offset of `column` in a row whose null bitmap is all zero, or
+  /// -1 when a VARCHAR precedes it (its offset then varies by row). Valid
+  /// for every column, needed or not.
+  int FixedOffset(size_t column) const;
+
+  /// True when the encoded row has no NULL column, i.e. FixedOffset holds.
+  bool NoNulls(const char* data) const {
+    for (size_t b = 0; b < bitmap_bytes_; ++b) {
+      if (data[b] != 0) return false;
+    }
+    return true;
+  }
+
  private:
   struct FixedCol {
     uint32_t column = 0;

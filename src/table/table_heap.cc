@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "table/heap_page.h"
 #include "wal/wal_record.h"
 
 namespace hdb::table {
@@ -224,65 +223,53 @@ TableHeap::Iterator TableHeap::Scan() const {
   return Iterator(this, def_->first_page);
 }
 
+Result<bool> TableHeap::Iterator::PinPage() {
+  if (page_ == storage::kInvalidPageId) return false;
+  if (!handle_.valid()) {
+    HDB_ASSIGN_OR_RETURN(
+        handle_, heap_->pool_->FetchPage(
+                     storage::SpacePageId{storage::SpaceId::kMain, page_},
+                     storage::PageType::kTable, heap_->def_->oid));
+  }
+  const HeapPageHeader header = ReadHeapHeader(handle_.data());
+  slot_count_ = header.slot_count;
+  next_page_ = header.next_page;
+  return true;
+}
+
+void TableHeap::Iterator::NextPage() {
+  handle_.Release();
+  page_ = next_page_;
+  slot_ = 0;
+}
+
 bool TableHeap::Iterator::Next(Rid* rid, std::string* row_bytes) {
   // Latched per step, not per scan: a long scan must not starve writers,
   // and the executor's pull loop may interleave DML on other tables.
-  SharedLock latch(heap_->latch_);
-  while (page_ != storage::kInvalidPageId) {
-    auto h = heap_->pool_->FetchPage(
-        storage::SpacePageId{storage::SpaceId::kMain, page_},
-        storage::PageType::kTable, heap_->def_->oid);
-    if (!h.ok()) return false;
-    const HeapPageHeader header = ReadHeapHeader(h->data());
-    while (slot_ < header.slot_count) {
-      const HeapSlot s = ReadHeapSlot(h->data(), slot_);
-      const uint16_t current = slot_++;
-      if (s.len == 0) continue;
-      *rid = Rid{page_, current};
-      row_bytes->assign(h->data() + s.offset, s.len);
-      return true;
-    }
-    page_ = header.next_page;
-    slot_ = 0;
-  }
-  return false;
+  auto n = Walk(1, [&](const char* data, uint16_t len, Rid at) {
+    *rid = at;
+    row_bytes->assign(data, len);
+    return Status::OK();
+  });
+  return n.ok() && *n == 1;
 }
 
 Result<size_t> TableHeap::Iterator::NextRows(size_t max_rows,
                                              std::vector<Row>* rows,
                                              std::vector<Rid>* rids,
                                              const RowDecoder* decoder) {
-  if (rows->size() < max_rows) rows->resize(max_rows);
-  if (rids->size() < max_rows) rids->resize(max_rows);
-  SharedLock latch(heap_->latch_);
-  size_t n = 0;
-  while (n < max_rows && page_ != storage::kInvalidPageId) {
-    HDB_ASSIGN_OR_RETURN(
-        storage::PageHandle h,
-        heap_->pool_->FetchPage(
-            storage::SpacePageId{storage::SpaceId::kMain, page_},
-            storage::PageType::kTable, heap_->def_->oid));
-    const HeapPageHeader header = ReadHeapHeader(h.data());
-    while (n < max_rows && slot_ < header.slot_count) {
-      const HeapSlot s = ReadHeapSlot(h.data(), slot_);
-      const uint16_t current = slot_++;
-      if (s.len == 0) continue;
-      if (decoder != nullptr) {
-        HDB_RETURN_IF_ERROR(
-            decoder->DecodeInto(h.data() + s.offset, s.len, &(*rows)[n]));
-      } else {
-        HDB_RETURN_IF_ERROR(DecodeRowInto(*heap_->def_, h.data() + s.offset,
-                                          s.len, &(*rows)[n]));
-      }
-      (*rids)[n] = Rid{page_, current};
-      ++n;
-    }
-    if (slot_ >= header.slot_count) {
-      page_ = header.next_page;
-      slot_ = 0;
-    }
-  }
-  return n;
+  const catalog::TableDef& schema = *heap_->def_;
+  HDB_ASSIGN_OR_RETURN(
+      const Step step,
+      NextRowsIf(max_rows, rows, rids,
+                 [&](const char* data, size_t len, Row* row) -> Result<bool> {
+                   HDB_RETURN_IF_ERROR(
+                       decoder != nullptr
+                           ? decoder->DecodeInto(data, len, row)
+                           : DecodeRowInto(schema, data, len, row));
+                   return true;
+                 }));
+  return step.kept;
 }
 
 Result<size_t> TableHeap::Iterator::NextBytes(size_t max_rows,
@@ -290,28 +277,13 @@ Result<size_t> TableHeap::Iterator::NextBytes(size_t max_rows,
                                               std::vector<Rid>* rids) {
   if (bytes->size() < max_rows) bytes->resize(max_rows);
   if (rids->size() < max_rows) rids->resize(max_rows);
-  SharedLock latch(heap_->latch_);
   size_t n = 0;
-  while (n < max_rows && page_ != storage::kInvalidPageId) {
-    HDB_ASSIGN_OR_RETURN(
-        storage::PageHandle h,
-        heap_->pool_->FetchPage(
-            storage::SpacePageId{storage::SpaceId::kMain, page_},
-            storage::PageType::kTable, heap_->def_->oid));
-    const HeapPageHeader header = ReadHeapHeader(h.data());
-    while (n < max_rows && slot_ < header.slot_count) {
-      const HeapSlot s = ReadHeapSlot(h.data(), slot_);
-      const uint16_t current = slot_++;
-      if (s.len == 0) continue;
-      (*bytes)[n].assign(h.data() + s.offset, s.len);
-      (*rids)[n] = Rid{page_, current};
-      ++n;
-    }
-    if (slot_ >= header.slot_count) {
-      page_ = header.next_page;
-      slot_ = 0;
-    }
-  }
+  HDB_RETURN_IF_ERROR(
+      Walk(max_rows, [&](const char* data, uint16_t len, Rid rid) {
+        (*bytes)[n].assign(data, len);
+        (*rids)[n++] = rid;
+        return Status::OK();
+      }).status());
   return n;
 }
 

@@ -13,6 +13,7 @@
 #include "common/types.h"
 #include "catalog/schema.h"
 #include "storage/buffer_pool.h"
+#include "table/heap_page.h"
 #include "table/row_codec.h"
 #include "wal/wal_manager.h"
 
@@ -58,24 +59,58 @@ class TableHeap {
   /// delete + re-insert, returning the (possibly new) Rid.
   Result<Rid> Update(Rid rid, std::string_view row_bytes);
 
-  /// Pull-based full scan.
+  /// Pull-based full scan. The iterator keeps the page it is on pinned
+  /// across calls and unpins it when it moves past the page's last slot
+  /// (or is destroyed), so a full scan pins each page exactly once
+  /// whatever the batch size. Each call still takes the heap's shared
+  /// latch and re-reads the page header under it: a concurrent insert may
+  /// have added slots or chained a new page since the last call.
   class Iterator {
    public:
     /// Advances to the next live row; false at end of table.
     bool Next(Rid* rid, std::string* row_bytes);
 
     /// Batched step: decodes up to `max_rows` live rows into
-    /// `rows`/`rids`, reusing their Value buffers. One shared-latch
-    /// acquisition and one page pin per *page* visited instead of one per
-    /// row, and one codec call per row straight off the pinned page —
-    /// this is the scan fast path. Returns the number of rows produced
-    /// (0 at end of table); `rows`/`rids` are grown to `max_rows` but
-    /// only the first n entries are meaningful. `decoder` (optional) is a
-    /// prepared RowDecoder — column pruning plus fixed-offset decode for
-    /// scans that reference a subset of the row.
+    /// `rows`/`rids`, reusing their Value buffers, with one codec call per
+    /// row straight off the pinned page — the scan fast path. Returns the
+    /// number of rows produced (0 at end of table); `rows`/`rids` are
+    /// grown to `max_rows` but only the first n entries are meaningful.
+    /// `decoder` (optional) is a prepared RowDecoder — column pruning plus
+    /// fixed-offset decode for scans that reference a subset of the row.
     Result<size_t> NextRows(size_t max_rows, std::vector<Row>* rows,
                             std::vector<Rid>* rids,
                             const RowDecoder* decoder = nullptr);
+
+    /// What one NextRowsIf call did: live rows examined, and how many of
+    /// them the gate kept. `examined` is 0 only at end of table.
+    struct Step {
+      size_t kept = 0;
+      size_t examined = 0;
+    };
+
+    /// Batched step with a pre-decode gate: `admit(data, len, row)` sees
+    /// each live row's encoded bytes in scan order and returns
+    /// Result<bool>. A row it keeps it has decoded into `*row` (the next
+    /// free entry of `rows`); a row it drops it need never decode. At most
+    /// `max_rows` live rows are examined per call, kept or not, so batch
+    /// boundaries do not depend on the gate.
+    template <typename Admit>
+    Result<Step> NextRowsIf(size_t max_rows, std::vector<Row>* rows,
+                            std::vector<Rid>* rids, Admit&& admit) {
+      if (rows->size() < max_rows) rows->resize(max_rows);
+      if (rids->size() < max_rows) rids->resize(max_rows);
+      Step step;
+      HDB_ASSIGN_OR_RETURN(
+          step.examined,
+          Walk(max_rows, [&](const char* data, uint16_t len, Rid rid)
+                             -> Status {
+            HDB_ASSIGN_OR_RETURN(const bool keep,
+                                 admit(data, len, &(*rows)[step.kept]));
+            if (keep) (*rids)[step.kept++] = rid;
+            return Status::OK();
+          }));
+      return step;
+    }
 
     /// Same batched step, but hands out the raw encoded bytes (string
     /// capacity reused) for consumers that decode elsewhere — the
@@ -88,9 +123,41 @@ class TableHeap {
     friend class TableHeap;
     Iterator(const TableHeap* heap, storage::PageId page)
         : heap_(heap), page_(page) {}
+
+    /// Calls `fn(data, len, rid)` for up to `max_rows` live rows in scan
+    /// order, under the heap's shared latch; returns how many it visited.
+    template <typename Fn>
+    Result<size_t> Walk(size_t max_rows, Fn&& fn) {
+      SharedLock latch(heap_->latch_);
+      size_t n = 0;
+      while (n < max_rows) {
+        HDB_ASSIGN_OR_RETURN(const bool more, PinPage());
+        if (!more) break;
+        const char* page = handle_.data();
+        while (n < max_rows && slot_ < slot_count_) {
+          const HeapSlot s = ReadHeapSlot(page, slot_);
+          const uint16_t current = slot_++;
+          if (s.len == 0) continue;
+          ++n;
+          HDB_RETURN_IF_ERROR(fn(page + s.offset, s.len, Rid{page_, current}));
+        }
+        if (slot_ >= slot_count_) NextPage();
+      }
+      return n;
+    }
+
+    /// Pins page_ unless already held and reads its slot count and next
+    /// page. False at end of table. Caller holds the heap latch.
+    Result<bool> PinPage();
+    /// Unpins the current page and moves to the next one in the chain.
+    void NextPage();
+
     const TableHeap* heap_;
     storage::PageId page_;
     uint16_t slot_ = 0;
+    storage::PageHandle handle_;  // pin on page_, held across calls
+    uint16_t slot_count_ = 0;
+    storage::PageId next_page_ = storage::kInvalidPageId;
   };
 
   Iterator Scan() const;

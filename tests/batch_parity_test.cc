@@ -61,6 +61,14 @@ const char* kCorpus[] = {
     "JOIN e ON d.w < e.y WHERE t.a < 40",
     "SELECT t.g, COUNT(*), MAX(d.w) FROM t JOIN d ON t.a < d.id "
     "WHERE t.a BETWEEN 10 AND 40 GROUP BY t.g",
+    // Hash-join key filters on the probe scan (DESIGN.md §9): NULL probe
+    // keys, an INT probe key against integral DOUBLE build keys, and a
+    // hash join above a nested-loop join whose inner side re-opens (no
+    // filter crosses the nested loop).
+    "SELECT t.a, d.w FROM t JOIN d ON t.b = d.id",
+    "SELECT t.a, f.y FROM t JOIN f ON t.j = f.x",
+    "SELECT t.a, e.x, d.w FROM t JOIN e ON t.a < e.y JOIN d ON t.j = d.id "
+    "WHERE t.a < 60",
 };
 
 std::unique_ptr<engine::Database> MakeDb(size_t batch_cap,
@@ -113,6 +121,16 @@ std::unique_ptr<engine::Database> MakeDb(size_t batch_cap,
                     Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
   }
   EXPECT_TRUE((*db)->LoadTable("e", rows).ok());
+  // f.x: integral DOUBLEs that t.j (INT) joins by value, and halves that
+  // join nothing.
+  st = (*conn)->Execute("CREATE TABLE f (x DOUBLE NOT NULL, y INT NOT NULL)");
+  EXPECT_TRUE(st.ok());
+  rows.clear();
+  for (int i = 0; i < 32; ++i) {
+    rows.push_back({Value::Double(i % 4 == 3 ? i + 0.5 : i * 2.0),
+                    Value::Int(i)});
+  }
+  EXPECT_TRUE((*db)->LoadTable("f", rows).ok());
   st = (*conn)->Execute("CREATE INDEX t_a ON t (a)");
   EXPECT_TRUE(st.ok());
   return std::move(*db);
@@ -311,6 +329,30 @@ TEST(BatchParity, ExplainAnalyzeActualRowsAreSelectedRows) {
   EXPECT_NE(r->explain.find(needle), std::string::npos) << r->explain;
   // The scan ran batch-driven, and says so.
   EXPECT_NE(r->explain.find("batches="), std::string::npos) << r->explain;
+}
+
+// A hash join's key filter drops probe rows before decode; the probe
+// scan's actual rows still count every row its own predicates passed, and
+// the filter's drops print beside them as hash_filter=.
+TEST(BatchParity, ExplainAnalyzeCountsKeyFilteredRowsSeparately) {
+  auto db = MakeDb(1024);
+  auto connr = db->Connect();
+  auto conn = std::move(*connr);
+  auto r = conn->Execute(
+      "EXPLAIN ANALYZE SELECT t.a, d.w FROM t JOIN d ON t.j = d.id "
+      "WHERE d.w < 10 AND t.v < 0.75");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto counted = conn->Execute("SELECT COUNT(*) FROM t WHERE v < 0.75");
+  ASSERT_TRUE(counted.ok());
+  const size_t scan_at = r->explain.find("SeqScan t ");
+  ASSERT_NE(scan_at, std::string::npos) << r->explain;
+  const std::string scan_line =
+      r->explain.substr(scan_at, r->explain.find('\n', scan_at) - scan_at);
+  EXPECT_NE(scan_line.find("actual rows=" +
+                           counted->rows[0][0].ToString() + " "),
+            std::string::npos)
+      << scan_line;
+  EXPECT_NE(scan_line.find(" hash_filter="), std::string::npos) << scan_line;
 }
 
 // A starved memory quota (tiny pool, high multiprogramming level) must

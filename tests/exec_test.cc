@@ -1026,5 +1026,484 @@ TEST(MorselDispenserTest, EndOfTableIsSticky) {
   EXPECT_EQ(*again, 0u);
 }
 
+// --- Pre-decode stage of the heap scan (DESIGN.md §9) ---
+
+// `n` holds numeric columns ahead of its VARCHAR (i, b, dt, d) and one
+// behind it (after). Every numeric value shows up in every column, with
+// negative INTs (stored as 8 sign-extended bytes), ±0.0 and NULLs.
+class ScanPushdownTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto db = engine::Database::Open();
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto conn = db_->Connect();
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE((*conn)
+                    ->Execute("CREATE TABLE n (i INT, b BIGINT, dt DATE, "
+                              "d DOUBLE, s VARCHAR(8), after DOUBLE)")
+                    .ok());
+    const int64_t ints[] = {-2147483647, -7, -1, 0, 1, 3, 5, 2147483647};
+    const double doubles[] = {-0.0, 0.0, -1.5, 2.5, 3.0, 5.0, -7.0, 1e300};
+    for (int r = 0; r < 64; ++r) {
+      const int64_t x = ints[r % 8];
+      const double y = doubles[(r / 8) % 8];
+      // b also holds 2^53 + 1, which a compare through double would take
+      // for 2^53.
+      const int64_t big = r == 9 ? (int64_t{1} << 53) + 1
+                                 : x * (int64_t{1} << (r % 3 == 0 ? 20 : 0));
+      table::Row row = {Value::Int(static_cast<int32_t>(x)),
+                        Value::Bigint(big),
+                        Value::Date(ints[(r + 3) % 8]),
+                        Value::Double(y),
+                        Value::String(r % 2 == 0 ? "ab" : "abcdef"),
+                        Value::Double(r % 2 == 0 ? y : static_cast<double>(x))};
+      if (r % 11 == 5) row[r % 4] = Value::Null(row[r % 4].type());
+      if (r % 13 == 6) row[4] = Value::Null(TypeId::kVarchar);
+      rows_.push_back(row);
+    }
+    ASSERT_TRUE(db_->LoadTable("n", rows_).ok());
+    table_ = *db_->catalog().GetTable("n");
+  }
+
+  struct Ran {
+    std::vector<std::string> rows;
+    RuntimeStats stats;
+  };
+
+  Ran Run(const optimizer::PlanNode* plan, size_t cap) {
+    ExecContext ec;
+    ec.pool = &db_->pool();
+    ec.table_heap = [this](uint32_t oid) { return db_->heap(oid); };
+    ec.num_quantifiers = 1;
+    ec.batch_cap = cap;
+    auto rows = ExecuteToRows(plan, &ec);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    Ran out;
+    out.stats = ec.stats;
+    if (!rows.ok()) return out;
+    for (const auto& row : *rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.rows.push_back(std::move(line));
+    }
+    return out;
+  }
+
+  std::unique_ptr<optimizer::PlanNode> Scan(optimizer::ExprPtr residual) {
+    auto scan = std::make_unique<optimizer::PlanNode>();
+    scan->kind = optimizer::PlanKind::kSeqScan;
+    scan->quantifier = 0;
+    scan->table = table_;
+    scan->residual = std::move(residual);
+    return scan;
+  }
+
+  /// The conjunct as the scan's residual (evaluated on the encoded row
+  /// where it can be) against the same conjunct in a Filter above a bare
+  /// scan (always FastMatch over decoded rows): same rows, same order.
+  /// Returns the pushed run's stats.
+  RuntimeStats ExpectSameRows(const optimizer::ExprPtr& conjunct,
+                              const std::string& what) {
+    const auto pushed = Scan(conjunct);
+    auto filter = std::make_unique<optimizer::PlanNode>();
+    filter->kind = optimizer::PlanKind::kFilter;
+    filter->residual = conjunct;
+    filter->children.push_back(Scan(nullptr));
+    RuntimeStats stats;
+    for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+      const Ran got = Run(pushed.get(), cap);
+      const Ran want = Run(filter.get(), cap);
+      EXPECT_EQ(got.rows, want.rows) << what << " (cap " << cap << ")";
+      EXPECT_EQ(got.stats.rows_scanned, rows_.size()) << what;
+      stats = got.stats;
+    }
+    return stats;
+  }
+
+  bool HasNull(const table::Row& row) const {
+    return std::any_of(row.begin(), row.end(),
+                       [](const Value& v) { return v.is_null(); });
+  }
+
+  std::unique_ptr<engine::Database> db_;
+  catalog::TableDef* table_ = nullptr;
+  std::vector<table::Row> rows_;
+};
+
+TEST_F(ScanPushdownTest, ByteCompareMatchesFastMatch) {
+  using optimizer::CompareOp;
+  using optimizer::Expr;
+  const std::vector<Value> literals = {
+      Value::Int(3),          Value::Int(-1),     Value::Int(0),
+      Value::Int(-7),         Value::Bigint(int64_t{5} << 20),
+      Value::Bigint(-5),      Value::Bigint(int64_t{1} << 53),
+      Value::Double(2.5),     Value::Double(-0.0),
+      Value::Double(0.0),     Value::Double(3.0), Value::Double(-1e300)};
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const std::pair<Value, Value> ranges[] = {
+      {Value::Int(-1), Value::Int(3)},
+      {Value::Int(3), Value::Int(-1)},  // lo > hi: nothing qualifies
+      {Value::Double(-0.0), Value::Double(2.5)},
+      {Value::Bigint(-5), Value::Double(3.0)},
+      {Value::Double(0.5), Value::Int(2147483647)}};
+  const char* names[] = {"i", "b", "dt", "d", "s", "after"};
+  for (const int col : {0, 1, 2, 3, 5}) {
+    const TypeId type = table_->columns[col].type;
+    const auto column = [&] { return Expr::Column(0, col, type, names[col]); };
+    std::vector<std::pair<optimizer::ExprPtr, std::string>> conjuncts;
+    for (const Value& lit : literals) {
+      for (const CompareOp op : ops) {
+        conjuncts.emplace_back(
+            Expr::Compare(op, column(), Expr::Literal(lit)),
+            std::string(names[col]) + " op" +
+                std::to_string(static_cast<int>(op)) + " " + lit.ToString());
+      }
+      // literal <op> column mirrors the operator.
+      conjuncts.emplace_back(
+          Expr::Compare(CompareOp::kLt, Expr::Literal(lit), column()),
+          lit.ToString() + " < " + names[col]);
+    }
+    for (const auto& [lo, hi] : ranges) {
+      conjuncts.emplace_back(
+          Expr::Between(column(), Expr::Literal(lo), Expr::Literal(hi)),
+          std::string(names[col]) + " BETWEEN " + lo.ToString() + " AND " +
+              hi.ToString());
+    }
+    for (const auto& [conjunct, what] : conjuncts) {
+      const RuntimeStats stats = ExpectSameRows(conjunct, what);
+      if (col == 5) {
+        // Behind the VARCHAR: no pushdown, every row is decoded.
+        EXPECT_EQ(stats.rows_decoded, rows_.size()) << what;
+        continue;
+      }
+      // Pushed: a NULL-free row is decoded only when it matches; a row
+      // with a NULL is decoded first and matched by FastMatch.
+      uint64_t with_null = 0;
+      for (const table::Row& r : rows_) with_null += HasNull(r) ? 1 : 0;
+      EXPECT_GE(stats.rows_decoded, with_null) << what;
+      EXPECT_LE(stats.rows_decoded, with_null + stats.rows_output) << what;
+    }
+  }
+}
+
+TEST_F(ScanPushdownTest, OnlyTheLeadingRunIsPushed) {
+  using optimizer::CompareOp;
+  using optimizer::Expr;
+  // d > 0 is pushed; the LIKE stops the run, so i <> 3 after it is not.
+  const auto residual = Expr::And(
+      Expr::And(Expr::Compare(CompareOp::kGt,
+                              Expr::Column(0, 3, TypeId::kDouble, "d"),
+                              Expr::Literal(Value::Int(0))),
+                Expr::Like(Expr::Column(0, 4, TypeId::kVarchar, "s"), "ab%")),
+      Expr::Compare(CompareOp::kNe, Expr::Column(0, 0, TypeId::kInt, "i"),
+                    Expr::Literal(Value::Int(3))));
+  const RuntimeStats stats = ExpectSameRows(residual, "d > 0, LIKE, i <> 3");
+  EXPECT_LT(stats.rows_decoded, stats.rows_scanned);
+  EXPECT_GT(stats.rows_decoded, stats.rows_output);
+}
+
+// One pin per page: the iterator keeps its page pinned across calls, so a
+// full scan pins each of the table's pages once at any batch cap.
+TEST(HeapScanPinsTest, FullScanPinsEachPageOnce) {
+  auto db = engine::Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto conn = (*db)->Connect();
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(
+      (*conn)->Execute("CREATE TABLE p (k INT NOT NULL, v DOUBLE)").ok());
+  std::vector<table::Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({Value::Int(i), Value::Double(i * 0.5)});
+  }
+  ASSERT_TRUE((*db)->LoadTable("p", rows).ok());
+  catalog::TableDef* def = *(*db)->catalog().GetTable("p");
+  const uint64_t pages = def->page_count;
+  ASSERT_GT(pages, 10u);
+  const auto pins = [&] {
+    const storage::BufferPoolStats s = (*db)->pool().stats();
+    return s.hits + s.misses;
+  };
+  auto scan = std::make_unique<optimizer::PlanNode>();
+  scan->kind = optimizer::PlanKind::kSeqScan;
+  scan->quantifier = 0;
+  scan->table = def;
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    // Straight off the heap iterator...
+    uint64_t before = pins();
+    {
+      auto it = (*db)->heap(def->oid)->Scan();
+      std::vector<table::Row> out;
+      std::vector<Rid> rids;
+      size_t total = 0;
+      for (;;) {
+        auto n = it.NextRows(cap, &out, &rids);
+        ASSERT_TRUE(n.ok());
+        if (*n == 0) break;
+        total += *n;
+      }
+      EXPECT_EQ(total, rows.size());
+    }
+    EXPECT_EQ(pins() - before, pages) << "iterator, cap " << cap;
+    // ...and through the executor's scan.
+    ExecContext ec;
+    ec.pool = &(*db)->pool();
+    ec.table_heap = [&](uint32_t oid) { return (*db)->heap(oid); };
+    ec.num_quantifiers = 1;
+    ec.batch_cap = cap;
+    before = pins();
+    auto got = ExecuteToRows(scan.get(), &ec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->size(), rows.size());
+    EXPECT_EQ(pins() - before, pages) << "executor, cap " << cap;
+  }
+}
+
+// --- Hash-join key filters (DESIGN.md §9) ---
+
+// `probe` (k = i % 500, 4000 rows) joins `build` (k = multiples of 25,
+// plus a NULL key): only a twentieth of the probe rows can join.
+class KeyFilterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto db = engine::Database::Open();
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    auto conn = db_->Connect();
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(
+        (*conn)->Execute("CREATE TABLE probe (k INT, v INT NOT NULL)").ok());
+    ASSERT_TRUE(
+        (*conn)->Execute("CREATE TABLE build (k INT, w INT NOT NULL)").ok());
+    ASSERT_TRUE(
+        (*conn)->Execute("CREATE TABLE outer3 (x INT NOT NULL)").ok());
+    ASSERT_TRUE((*conn)->Execute("CREATE TABLE dprobe (k DOUBLE)").ok());
+    ASSERT_TRUE(
+        (*conn)->Execute("CREATE TABLE dbuild (k DOUBLE, w INT NOT NULL)").ok());
+    std::vector<table::Row> rows;
+    for (int i = 0; i < 4000; ++i) {
+      rows.push_back({i % 97 == 0 ? Value::Null(TypeId::kInt)
+                                  : Value::Int(i % 500),
+                      Value::Int(i)});
+    }
+    ASSERT_TRUE(db_->LoadTable("probe", rows).ok());
+    rows.clear();
+    for (int k = 0; k < 500; k += 25) {
+      rows.push_back({Value::Int(k), Value::Int(k / 25)});
+    }
+    rows.push_back({Value::Null(TypeId::kInt), Value::Int(-1)});
+    ASSERT_TRUE(db_->LoadTable("build", rows).ok());
+    ASSERT_TRUE(db_->LoadTable("outer3", {{Value::Int(0)},
+                                          {Value::Int(5)},
+                                          {Value::Int(10)}})
+                    .ok());
+    rows.clear();
+    for (int i = 0; i < 1000; ++i) {
+      rows.push_back({i % 3 == 0 ? Value::Double(i % 500 + 0.5)
+                                 : Value::Double(static_cast<double>(i % 500))});
+    }
+    ASSERT_TRUE(db_->LoadTable("dprobe", rows).ok());
+    rows.clear();
+    for (int k = 0; k < 500; k += 25) {
+      rows.push_back({Value::Double(k), Value::Int(k / 25)});
+      rows.push_back({Value::Double(k + 0.5), Value::Int(-1)});
+    }
+    ASSERT_TRUE(db_->LoadTable("dbuild", rows).ok());
+  }
+
+  std::unique_ptr<optimizer::PlanNode> ScanOf(const char* name, int q) {
+    auto scan = std::make_unique<optimizer::PlanNode>();
+    scan->kind = optimizer::PlanKind::kSeqScan;
+    scan->quantifier = q;
+    scan->table = *db_->catalog().GetTable(name);
+    return scan;
+  }
+
+  /// probe ⋈ build on k, with `probe_side` as the join's outer child.
+  std::unique_ptr<optimizer::PlanNode> Join(
+      std::unique_ptr<optimizer::PlanNode> probe_side) {
+    auto join = std::make_unique<optimizer::PlanNode>();
+    join->kind = optimizer::PlanKind::kHashJoin;
+    join->quantifier = 1;
+    join->outer_key = optimizer::Expr::Column(0, 0, TypeId::kInt, "probe.k");
+    join->inner_key = optimizer::Expr::Column(1, 0, TypeId::kInt, "build.k");
+    join->children.push_back(std::move(probe_side));
+    join->children.push_back(ScanOf("build", 1));
+    join->children[1]->est_rows = 21;  // sizes the key filter
+    return join;
+  }
+
+  struct Ran {
+    std::vector<std::string> rows;
+    uint64_t probe_rows = 0;      // EXPLAIN ANALYZE actual rows of probe
+    uint64_t probe_filtered = 0;  // ... and its hash_filter=
+  };
+
+  Ran Run(const optimizer::PlanNode* plan, const optimizer::PlanNode* probe,
+          size_t cap) {
+    optimizer::OpActualsMap actuals;
+    ExecContext ec;
+    ec.pool = &db_->pool();
+    ec.table_heap = [this](uint32_t oid) { return db_->heap(oid); };
+    ec.num_quantifiers = 3;
+    ec.batch_cap = cap;
+    ec.actuals = &actuals;
+    auto rows = ExecuteToRows(plan, &ec);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    Ran out;
+    out.probe_rows = actuals[probe].rows;
+    out.probe_filtered = actuals[probe].hash_filtered;
+    if (!rows.ok()) return out;
+    for (const auto& row : *rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      out.rows.push_back(std::move(line));
+    }
+    std::sort(out.rows.begin(), out.rows.end());
+    return out;
+  }
+
+  std::unique_ptr<engine::Database> db_;
+};
+
+TEST_F(KeyFilterTest, ProbeScanDropsRowsThatCannotJoin) {
+  const auto plan = Join(ScanOf("probe", 0));
+  const optimizer::PlanNode* probe = plan->children[0].get();
+  // Reference: 20 build keys, each matched by 8 probe rows, less the
+  // rows whose k is NULL (every 97th row).
+  size_t expect = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 97 != 0 && (i % 500) % 25 == 0) ++expect;
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const Ran r = Run(plan.get(), probe, cap);
+    EXPECT_EQ(r.rows.size(), expect) << "cap " << cap;
+    // Actual rows still count every row the scan's own predicates (none)
+    // passed; the filter's drops are printed beside them.
+    EXPECT_EQ(r.probe_rows, 4000u) << "cap " << cap;
+    EXPECT_GT(r.probe_filtered, 4000u - 2 * expect) << "cap " << cap;
+  }
+}
+
+TEST_F(KeyFilterTest, IntegralDoubleProbeKeysStillJoin) {
+  // The scan hashes DOUBLE keys off the encoded row; an integral DOUBLE
+  // must hash like the INT build key it equals.
+  auto plan = Join(ScanOf("dprobe", 0));
+  plan->outer_key = optimizer::Expr::Column(0, 0, TypeId::kDouble, "dprobe.k");
+  const optimizer::PlanNode* probe = plan->children[0].get();
+  size_t expect = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 3 != 0 && (i % 500) % 25 == 0) ++expect;
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const Ran r = Run(plan.get(), probe, cap);
+    EXPECT_EQ(r.rows.size(), expect) << "cap " << cap;
+    EXPECT_GT(r.probe_filtered, 1000u - 2 * expect) << "cap " << cap;
+  }
+}
+
+TEST_F(KeyFilterTest, IntProbeKeysMatchIntegralDoubleBuildKeys) {
+  auto plan = Join(ScanOf("probe", 0));
+  plan->children[1] = ScanOf("dbuild", 1);
+  plan->children[1]->est_rows = 40;
+  plan->inner_key = optimizer::Expr::Column(1, 0, TypeId::kDouble, "dbuild.k");
+  const optimizer::PlanNode* probe = plan->children[0].get();
+  size_t expect = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 97 != 0 && (i % 500) % 25 == 0) ++expect;
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const Ran r = Run(plan.get(), probe, cap);
+    EXPECT_EQ(r.rows.size(), expect) << "cap " << cap;
+    EXPECT_GT(r.probe_filtered, 4000u - 2 * expect) << "cap " << cap;
+  }
+}
+
+TEST_F(KeyFilterTest, FeedbackNeverSeesTheFilter) {
+  // `k + 1 < 300` cannot be compiled, so no conjunct runs before decode
+  // and the filter must not run either: the observed `v >= 100` still
+  // sees every row the first conjunct passed.
+  using optimizer::CompareOp;
+  using optimizer::Expr;
+  auto plan = Join(ScanOf("probe", 0));
+  optimizer::PlanNode* probe = plan->children[0].get();
+  probe->residual = Expr::And(
+      Expr::Compare(CompareOp::kLt,
+                    Expr::Arith(optimizer::ArithOp::kAdd,
+                                Expr::Column(0, 0, TypeId::kInt, "probe.k"),
+                                Expr::Literal(Value::Int(1))),
+                    Expr::Literal(Value::Int(300))),
+      Expr::Compare(CompareOp::kGe, Expr::Column(0, 1, TypeId::kInt, "probe.v"),
+                    Expr::Literal(Value::Int(100))));
+  uint64_t seen = 0, matched = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (i % 97 == 0 || i % 500 + 1 >= 300) continue;
+    ++seen;
+    if (i >= 100) ++matched;
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    stats::FeedbackCollector fc;
+    ExecContext ec;
+    ec.pool = &db_->pool();
+    ec.table_heap = [this](uint32_t oid) { return db_->heap(oid); };
+    ec.num_quantifiers = 2;
+    ec.batch_cap = cap;
+    ec.feedback = &fc;
+    auto rows = ExecuteToRows(plan.get(), &ec);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+        {seen, matched}};
+    EXPECT_EQ(fc.PendingCounts(), expected) << "cap " << cap;
+  }
+}
+
+TEST_F(KeyFilterTest, NoFilterCrossesALimit) {
+  auto limit = std::make_unique<optimizer::PlanNode>();
+  limit->kind = optimizer::PlanKind::kLimit;
+  limit->limit = 1000;
+  limit->children.push_back(ScanOf("probe", 0));
+  const optimizer::PlanNode* probe = limit->children[0].get();
+  const auto plan = Join(std::move(limit));
+  size_t expect = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 97 != 0 && (i % 500) % 25 == 0) ++expect;
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const Ran r = Run(plan.get(), probe, cap);
+    // A filter below the LIMIT would let it count only joining rows.
+    EXPECT_EQ(r.rows.size(), expect) << "cap " << cap;
+    EXPECT_EQ(r.probe_filtered, 0u) << "cap " << cap;
+  }
+}
+
+TEST_F(KeyFilterTest, NestedLoopInnerReopensWithAFreshFilter) {
+  // outer3 ⋈NL (probe ⋈ build) on outer3.x < build.w: the hash join is
+  // closed and re-opened once per outer row, and must rebuild, republish
+  // and withdraw its filter each time.
+  auto nl = std::make_unique<optimizer::PlanNode>();
+  nl->kind = optimizer::PlanKind::kNLJoin;
+  nl->extra_condition = optimizer::Expr::Compare(
+      optimizer::CompareOp::kLt,
+      optimizer::Expr::Column(2, 0, TypeId::kInt, "outer3.x"),
+      optimizer::Expr::Column(1, 1, TypeId::kInt, "build.w"));
+  nl->children.push_back(ScanOf("outer3", 2));
+  nl->children.push_back(Join(ScanOf("probe", 0)));
+  const optimizer::PlanNode* probe = nl->children[1]->children[0].get();
+  size_t expect = 0;
+  for (const int x : {0, 5, 10}) {
+    for (int i = 0; i < 4000; ++i) {
+      const int k = i % 500;
+      if (i % 97 != 0 && k % 25 == 0 && x < k / 25) ++expect;
+    }
+  }
+  for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+    const Ran r = Run(nl.get(), probe, cap);
+    EXPECT_EQ(r.rows.size(), expect) << "cap " << cap;
+    EXPECT_EQ(r.probe_rows, 3 * 4000u) << "cap " << cap;
+    EXPECT_GT(r.probe_filtered, 0u) << "cap " << cap;
+  }
+}
+
 }  // namespace
 }  // namespace hdb::exec

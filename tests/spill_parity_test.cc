@@ -28,8 +28,9 @@
 namespace hdb {
 namespace {
 
-/// Same 20-query shape as the batch-parity corpus: every operator with a
-/// spill path plus the scan/filter/projection plumbing around them.
+/// The batch-parity corpus's first 20 queries, then the hash-join
+/// key-filter inputs: every operator with a spill path plus the
+/// scan/filter/projection plumbing around them.
 const char* kCorpus[] = {
     "SELECT a, b, v, s FROM t",
     "SELECT a FROM t WHERE a >= 100 AND a < 900",
@@ -51,6 +52,16 @@ const char* kCorpus[] = {
     "SELECT t.a, d.id FROM t JOIN d ON t.a < d.id WHERE t.a BETWEEN 40 AND 60",
     "SELECT a, v FROM t ORDER BY a, v LIMIT 20",
     "SELECT a FROM t WHERE a >= 400 ORDER BY a DESC LIMIT 10",
+    // Hash-join key filters (DESIGN.md §9), with build partitions that
+    // spill on the starved database: NULL probe keys, an INT probe key
+    // against integral DOUBLE build keys, a hash join above a re-opening
+    // nested-loop inner, and a selective build over a wide probe.
+    "SELECT t.a, d.w FROM t JOIN d ON t.b = d.id",
+    "SELECT t.a, f.y FROM t JOIN f ON t.j = f.x",
+    "SELECT t.a, e.x, d.w FROM t JOIN e ON t.a < e.y JOIN d ON t.j = d.id "
+    "WHERE t.a < 60",
+    "SELECT big1.a, big2.v FROM big1 JOIN big2 ON big1.a = big2.a "
+    "WHERE big1.j < 64",
 };
 
 /// `big1`/`big2` give the acceptance-criteria workload: a hash-join build
@@ -110,6 +121,25 @@ std::unique_ptr<engine::Database> MakeDb(size_t pool_frames, int mpl) {
     }
     EXPECT_TRUE((*db)->LoadTable(big, rows).ok());
   }
+  // Loaded last, so the tables above stay byte-identical to earlier
+  // corpora. e.y drives a nested-loop join; f.x holds integral DOUBLEs
+  // that t.j (INT) joins by value, and halves that join nothing.
+  st = (*conn)->Execute("CREATE TABLE e (x INT NOT NULL, y INT NOT NULL)");
+  EXPECT_TRUE(st.ok());
+  rows.clear();
+  for (int i = 0; i < 24; ++i) {
+    rows.push_back({Value::Int(i),
+                    Value::Int(static_cast<int32_t>(rng.Uniform(100)))});
+  }
+  EXPECT_TRUE((*db)->LoadTable("e", rows).ok());
+  st = (*conn)->Execute("CREATE TABLE f (x DOUBLE NOT NULL, y INT NOT NULL)");
+  EXPECT_TRUE(st.ok());
+  rows.clear();
+  for (int i = 0; i < 32; ++i) {
+    rows.push_back({Value::Double(i % 4 == 3 ? i + 0.5 : i * 2.0),
+                    Value::Int(i)});
+  }
+  EXPECT_TRUE((*db)->LoadTable("f", rows).ok());
   return std::move(*db);
 }
 

@@ -472,5 +472,105 @@ TEST(FeedbackCollectorTest, BatchCapDoesNotChangeCounts) {
   EXPECT_EQ(counts_at(7), expected);
 }
 
+// The heap scan evaluates the leading run of compiled conjuncts on the
+// encoded row and counts their outcomes itself (DESIGN.md §9). A scan
+// whose first conjunct cannot be compiled (nothing is pushed) and one
+// whose every conjunct is pushed must both flush exactly what
+// row-at-a-time evaluation sees, at any batch cap, NULL rows included.
+TEST(FeedbackCollectorTest, PushedConjunctsCountLikeBatchOnes) {
+  auto db = engine::Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto conn = (*db)->Connect();
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(
+      (*conn)->Execute("CREATE TABLE f (k INT, v DOUBLE, s VARCHAR(8))").ok());
+  std::vector<table::Row> rows;
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({i % 17 == 0 ? Value::Null(TypeId::kInt) : Value::Int(i % 10),
+                    Value::Double(i * 0.5),
+                    i % 13 == 0 ? Value::Null(TypeId::kVarchar)
+                                : Value::String(i % 3 == 0 ? "ab" : "ba")});
+  }
+  ASSERT_TRUE((*db)->LoadTable("f", rows).ok());
+
+  using optimizer::CompareOp;
+  using optimizer::Expr;
+  using optimizer::ExprPtr;
+  const auto v_range = [] {
+    return Expr::Between(Expr::Column(0, 1, TypeId::kDouble, "v"),
+                         Expr::Literal(Value::Int(50)),
+                         Expr::Literal(Value::Double(1999.5)));
+  };
+  const auto k_eq = [] {
+    return Expr::Compare(CompareOp::kEq, Expr::Column(0, 0, TypeId::kInt, "k"),
+                         Expr::Literal(Value::Int(3)));
+  };
+  const auto s_like = [] {
+    return Expr::Like(Expr::Column(0, 2, TypeId::kVarchar, "s"), "a%");
+  };
+  const auto counts_at = [&](const ExprPtr& residual, size_t cap) {
+    auto scan = std::make_unique<optimizer::PlanNode>();
+    scan->kind = optimizer::PlanKind::kSeqScan;
+    scan->quantifier = 0;
+    scan->table = *(*db)->catalog().GetTable("f");
+    scan->residual = residual;
+    FeedbackCollector fc;
+    exec::ExecContext ec;
+    ec.pool = &(*db)->pool();
+    ec.table_heap = [&](uint32_t oid) { return (*db)->heap(oid); };
+    ec.num_quantifiers = 1;
+    ec.batch_cap = cap;
+    ec.feedback = &fc;
+    auto out = exec::ExecuteToRows(scan.get(), &ec);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return fc.PendingCounts();
+  };
+  const auto k_matches = [](const table::Row& r) {
+    return !r[0].is_null() && r[0].AsInt() == 3;
+  };
+  const auto v_matches = [](const table::Row& r) {
+    return r[1].AsDouble() >= 50 && r[1].AsDouble() <= 1999.5;
+  };
+  const auto s_matches = [](const table::Row& r) {
+    return !r[2].is_null() && r[2].AsString()[0] == 'a';
+  };
+  // Pending aggregates are ordered by column: k, v, s.
+  {
+    // LIKE first: nothing is pushed.
+    std::pair<uint64_t, uint64_t> k, v, like;
+    for (const table::Row& r : rows) {
+      ++like.first;
+      if (!s_matches(r)) continue;
+      ++like.second;
+      ++v.first;
+      if (!v_matches(r)) continue;
+      ++v.second;
+      ++k.first;
+      if (k_matches(r)) ++k.second;
+    }
+    const std::vector<std::pair<uint64_t, uint64_t>> expected = {k, v, like};
+    const ExprPtr residual = Expr::And(Expr::And(s_like(), v_range()), k_eq());
+    for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+      EXPECT_EQ(counts_at(residual, cap), expected) << "cap " << cap;
+    }
+  }
+  {
+    // Every conjunct pushed.
+    std::pair<uint64_t, uint64_t> k, v;
+    for (const table::Row& r : rows) {
+      ++v.first;
+      if (!v_matches(r)) continue;
+      ++v.second;
+      ++k.first;
+      if (k_matches(r)) ++k.second;
+    }
+    const std::vector<std::pair<uint64_t, uint64_t>> expected = {k, v};
+    const ExprPtr residual = Expr::And(v_range(), k_eq());
+    for (const size_t cap : {size_t{1}, size_t{7}, size_t{1024}}) {
+      EXPECT_EQ(counts_at(residual, cap), expected) << "cap " << cap;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hdb::stats
