@@ -58,7 +58,7 @@ enum class LockRank : uint16_t {
   kProcStats = 88,          // stats/proc_stats.h (procedure cost EMAs)
   kParallelQueue = 93,      // exec/exchange.cc (worker→coordinator packet
                             // queue; pushed/popped holding no other lock)
-  kParallelMerge = 95,      // exec/exchange.cc (worker barrier + stats merge)
+  kParallelMerge = 95,      // exec/exchange.cc (partial merge + crew error)
   kBufferPool = 100,        // storage/buffer_pool.h (frames + page table)
   kWalGroupCommit = 110,    // wal/wal_manager.h gc_mu_ (commit batching)
   kWalFlush = 115,          // wal/wal_manager.h flush_mu_ (flush sections)

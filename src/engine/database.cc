@@ -254,6 +254,7 @@ void Database::RegisterEngineTelemetry() {
   optimize_hist_ = metrics_.RegisterHistogram(obs::kLatencyOptimizeMicros);
   execute_hist_ = metrics_.RegisterHistogram(obs::kLatencyExecuteMicros);
   exec_rows_scanned_ = metrics_.RegisterCounter(obs::kExecRowsScanned);
+  exec_rows_decoded_ = metrics_.RegisterCounter(obs::kExecRowsDecoded);
   exec_rows_output_ = metrics_.RegisterCounter(obs::kExecRowsOutput);
   exec_spilled_tuples_ = metrics_.RegisterCounter(obs::kExecSpilledTuples);
   exec_partitions_evicted_ =
@@ -1230,6 +1231,7 @@ Result<QueryResult> Connection::ExecuteSelect(
   for (const auto& item : q.select) out->columns.push_back(item.name);
   if (ec.feedback != nullptr) feedback.Flush(&db_->stats());
   db_->exec_rows_scanned_->Add(ec.stats.rows_scanned);
+  db_->exec_rows_decoded_->Add(ec.stats.rows_decoded);
   db_->exec_rows_output_->Add(ec.stats.rows_output);
   db_->exec_spilled_tuples_->Add(ec.stats.hash_spilled_tuples);
   db_->exec_partitions_evicted_->Add(ec.stats.hash_partitions_evicted);

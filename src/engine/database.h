@@ -322,6 +322,7 @@ class Database {
   obs::LatencyHistogram* optimize_hist_ = nullptr;
   obs::LatencyHistogram* execute_hist_ = nullptr;
   obs::Counter* exec_rows_scanned_ = nullptr;
+  obs::Counter* exec_rows_decoded_ = nullptr;
   obs::Counter* exec_rows_output_ = nullptr;
   obs::Counter* exec_spilled_tuples_ = nullptr;
   obs::Counter* exec_partitions_evicted_ = nullptr;

@@ -5,7 +5,10 @@
 #include <vector>
 
 #include "common/value.h"
+#include "exec/batch_eval.h"
 #include "exec/hash_table.h"
+#include "exec/spill.h"
+#include "optimizer/plan.h"
 #include "optimizer/query.h"
 
 namespace hdb::exec {
@@ -13,7 +16,7 @@ namespace hdb::exec {
 /// Running state of one aggregate over one group. Shared by the serial
 /// hash group by (executor.cc), its spill encode/decode, and the parallel
 /// pre-aggregation workers (exchange.cc) — AggMerge is exactly the
-/// partial-merge both the spill replay and the worker barrier need.
+/// partial-merge both the spill replay and the worker merge need.
 struct AggState {
   int64_t count = 0;       // non-null inputs
   int64_t count_star = 0;  // all rows
@@ -111,7 +114,7 @@ inline AggState DecodeAggState(const std::vector<Value>& v, size_t at) {
 /// group number, their aggregate states ([group * naggs + aggregate]).
 /// Shared by the serial HashGroupByOp (its in-memory groups, and the merge
 /// of its spilled partials) and the parallel pre-aggregation (each
-/// worker's groups, and their merge at the barrier).
+/// worker's groups, and their merge once the worker drains).
 struct GroupTable {
   GroupTable(size_t nkeys, size_t naggs) : keys(nkeys), naggs(naggs) {}
 
@@ -181,6 +184,142 @@ struct GroupTable {
     }
     return rows;
   }
+};
+
+/// Group-key and aggregate-argument expressions of a group-by plan node,
+/// in the order GroupAccumulator reads them.
+inline std::vector<const optimizer::Expr*> GroupKeyExprs(
+    const optimizer::PlanNode* plan) {
+  std::vector<const optimizer::Expr*> out;
+  for (const optimizer::ExprPtr& k : plan->group_keys) out.push_back(k.get());
+  return out;
+}
+inline std::vector<const optimizer::Expr*> AggArgExprs(
+    const optimizer::PlanNode* plan) {
+  std::vector<const optimizer::Expr*> out;
+  for (const auto& a : plan->aggregates) out.push_back(a.arg.get());
+  return out;
+}
+
+/// The accumulate step of a hash group by: folds one batch into a
+/// GroupTable. The serial HashGroupByOp runs it over its child's batches
+/// and every parallel pre-aggregation worker over its fragment's, each
+/// into its own table. Group keys and aggregate arguments are read through
+/// BatchExprs, plain columns in place.
+class GroupAccumulator {
+ public:
+  GroupAccumulator(const optimizer::PlanNode* plan, const ExecContext& ec)
+      : aggs_(plan->aggregates), keys_(GroupKeyExprs(plan)),
+        args_(AggArgExprs(plan)), scratch_keys_(plan->group_keys.size()),
+        scratch_args_(plan->aggregates.size()) {
+    InitScratchCtx(&ec, &ctx_);
+  }
+
+  /// Folds the active rows of `b` into `groups`, charging each new group
+  /// to `ec` (ChargeQuota) and adding it to `*held` first. A new group's
+  /// keys and arguments are copied out of the batch *before* the charge:
+  /// charging may reclaim memory by evicting a hash-join partition below
+  /// the operator, which frees the rows the batch points into. The charge
+  /// may also spill `groups` (the serial operator's fallback), group
+  /// included, in which case the group starts again, uncharged (the
+  /// scheduler took the account to zero).
+  Status Fold(const RowBatch& b, GroupTable* groups, ExecContext* ec,
+              uint64_t* held) {
+    const size_t nkeys = scratch_keys_.size();
+    const size_t naggs = scratch_args_.size();
+    keys_.Bind(b);
+    args_.Bind(b);
+    const bool bind = keys_.needs_row() || args_.needs_row();
+    const size_t n = b.ActiveCount();
+    for (size_t r = 0; r < n; ++r) {
+      const size_t pos = b.Active(r);
+      if (bind) {
+        b.BindRow(pos, &ctx_);
+        HDB_RETURN_IF_ERROR(keys_.Eval(ctx_));
+        HDB_RETURN_IF_ERROR(args_.Eval(ctx_));
+      }
+      auto key = [&](size_t i) -> const Value& { return keys_.Get(i, pos); };
+      const uint64_t h = KeyHash(nkeys, key);
+      uint32_t g = groups->keys.Find(h, key);
+      if (g != FlatHashTable::kAbsent) {
+        AggState* states = groups->states_of(g);
+        for (size_t a = 0; a < naggs; ++a) {
+          AggUpdate(states[a], aggs_[a].kind, args_.Get(a, pos));
+        }
+        continue;
+      }
+      for (size_t i = 0; i < nkeys; ++i) scratch_keys_[i] = keys_.Get(i, pos);
+      for (size_t a = 0; a < naggs; ++a) scratch_args_[a] = args_.Get(a, pos);
+      auto copied = [&](size_t i) -> const Value& { return scratch_keys_[i]; };
+      g = groups->Add(h, copied);
+      const uint64_t bytes =
+          EncodedValuesBytes(scratch_keys_.data(), nkeys) + 64 * naggs + 64;
+      *held += bytes;
+      HDB_RETURN_IF_ERROR(ChargeQuota(ec, bytes));
+      if (groups->size() == 0) g = groups->Add(h, copied);
+      AggState* states = groups->states_of(g);
+      for (size_t a = 0; a < naggs; ++a) {
+        AggUpdate(states[a], aggs_[a].kind, scratch_args_[a]);
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<optimizer::AggSpec>& aggs_;
+  BatchExprs keys_;
+  BatchExprs args_;
+  // New-group copies and the scratch row context, reused across batches
+  // so the loop does not allocate.
+  std::vector<Value> scratch_keys_;
+  std::vector<Value> scratch_args_;
+  optimizer::RowContext ctx_;
+};
+
+/// The emission step of a hash group by, shared by HashGroupByOp and the
+/// parallel group by: hands out finalized group rows a batch at a time,
+/// bound in place (the rows stay put for the whole emission), keeping
+/// those that pass HAVING.
+class GroupEmitter {
+ public:
+  void Reset(std::vector<table::Row> rows) {
+    rows_ = std::move(rows);
+    pos_ = 0;
+  }
+  void Clear() { Reset({}); }
+
+  /// Binds the next rows into slot `slot` of `b` and applies `having`
+  /// (may be null); false once every row has gone out.
+  Result<bool> Next(size_t slot, const optimizer::Expr* having, RowBatch* b) {
+    b->Reset();
+    const table::Row** col = b->BindSlot(slot);
+    size_t n = 0;
+    while (n < b->capacity() && pos_ < rows_.size()) {
+      col[n++] = &rows_[pos_++];
+    }
+    if (n == 0) return false;
+    b->SetSize(n);
+    if (having == nullptr) return true;
+    if (ctx_.rows.size() != b->num_slots()) {
+      ctx_.rows.assign(b->num_slots(), nullptr);
+      ctx_.params = b->params();
+    }
+    uint16_t* sel = b->MutableSel();
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t pos = b->Active(i);
+      b->BindRow(pos, &ctx_);
+      HDB_ASSIGN_OR_RETURN(const bool ok, having->EvaluatesToTrue(ctx_));
+      if (ok) sel[k++] = static_cast<uint16_t>(pos);
+    }
+    b->SetSelection(k);
+    return true;
+  }
+
+ private:
+  std::vector<table::Row> rows_;  // finalized, in emission order
+  size_t pos_ = 0;
+  optimizer::RowContext ctx_;  // HAVING scratch
 };
 
 }  // namespace hdb::exec

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,8 +14,8 @@
 
 #include "common/lock_rank.h"
 #include "exec/agg.h"
+#include "exec/batch_eval.h"
 #include "exec/hash_table.h"
-#include "exec/spill.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
 
@@ -40,53 +41,224 @@ const PlanNode* FragmentScan(const PlanNode* n) {
   return n->kind == PlanKind::kSeqScan ? n : nullptr;
 }
 
-/// Private execution context for one worker thread: shares the engine
-/// callbacks, parameters, and the statement's TaskMemoryContext with the
-/// coordinator, but owns its stats and is flagged so arena charges route
-/// through ChargeBytesFromWorker (memory_governor.h contract). Feedback
-/// and EXPLAIN ANALYZE actuals stay coordinator-only — neither collector
-/// is thread-safe.
-ExecContext MakeWorkerContext(const ExecContext& ec, MorselDispenser* source,
-                              int quantifier) {
-  ExecContext w;
-  w.pool = ec.pool;
-  w.table_heap = ec.table_heap;
-  w.index = ec.index;
-  w.feedback = nullptr;
-  w.memory = ec.memory;
-  w.num_quantifiers = ec.num_quantifiers;
-  w.params = ec.params;
-  w.virtual_rows = nullptr;
-  w.actuals = nullptr;
-  w.batch_cap = ec.batch_cap;
-  w.scan_masks = ec.scan_masks;
-  w.parallel = nullptr;  // no nested parallelism inside a fragment
-  w.morsel_source = source;
-  w.morsel_quantifier = quantifier;
-  w.in_parallel_worker = true;
-  return w;
-}
-
-/// Folds one worker's runtime counters into the coordinator's. Called
-/// after the crew joined, so no synchronization is needed.
-void FoldWorkerStats(ExecContext* ec, const RuntimeStats& w) {
-  ec->stats.rows_scanned += w.rows_scanned;
-  ec->stats.rows_decoded += w.rows_decoded;
-  ec->stats.batches += w.batches;
-  ec->stats.batch_rows += w.batch_rows;
-  ec->stats.batch_arena_peak_bytes =
-      std::max(ec->stats.batch_arena_peak_bytes, w.batch_arena_peak_bytes);
-  ec->stats.batch_cap_shrinks += w.batch_cap_shrinks;
-}
-
-/// EXPLAIN ANALYZE `workers=` actual for the exchange's plan node.
-void RecordActualWorkers(ExecContext* ec, const PlanNode* plan, int workers) {
+/// Starts the pipeline an exchange's crews share (one per Open): counts
+/// it, records the EXPLAIN ANALYZE `workers=` actual, and registers it with
+/// the governor, whose target only ever falls, so a join's probe crew
+/// starts at what survived its build.
+std::shared_ptr<ParallelismGovernor::Pipeline> StartPipeline(
+    ExecContext* ec, const PlanNode* plan, int workers) {
+  ec->stats.parallel_pipelines++;
   if (ec->actuals != nullptr) (*ec->actuals)[plan].workers = workers;
+  return ec->parallel != nullptr ? ec->parallel->StartPipeline(workers)
+                                 : nullptr;
 }
 
-size_t WorkerBatchCap(const ExecContext& wc) {
-  return wc.batch_cap != 0 ? wc.batch_cap : kDefaultBatchCap;
-}
+// ---------------------------------------------------------------------------
+// FragmentCrew: the one worker-crew runner behind every exchange. Workers
+// are plain threads, each running a private copy of one fragment over a
+// shared MorselDispenser (paper §4.4's single FCFS scan) and handing its
+// batches to the exchange's per-batch body. The crew owns everything the
+// exchanges have in common: the dispenser, the worker contexts, the
+// morsel-boundary revocation probes, the statement-trace propagation,
+// the first worker error, the single fold of the workers' counters into
+// the coordinator's, and the release of what the workers charged.
+// ---------------------------------------------------------------------------
+
+class FragmentCrew {
+ public:
+  /// One worker: a private execution context and the quota bytes its body
+  /// charged.
+  struct Worker {
+    const PlanNode* fragment = nullptr;
+    ExecContext ctx;
+    uint64_t charged = 0;
+
+    /// Runs a private copy of the fragment to its end, handing each batch
+    /// to `on_batch`, which returns false to stop early (the consumer is
+    /// gone). A revoked worker just sees end of input.
+    template <typename OnBatch>
+    Status Drive(const OnBatch& on_batch) {
+      HDB_ASSIGN_OR_RETURN(auto root, BuildExecutor(fragment, &ctx));
+      Status s = root->Open();
+      RowBatch batch(ctx.num_quantifiers + 1,
+                     ctx.batch_cap != 0 ? ctx.batch_cap : kDefaultBatchCap,
+                     ctx.params);
+      for (bool more = s.ok(); more;) {
+        Result<bool> step = root->NextBatch(&batch);
+        if (step.ok() && *step) step = on_batch(batch);
+        s = step.status();
+        more = step.ok() && *step;
+      }
+      root->Close();
+      return s;
+    }
+
+    /// Charges `bytes` of the body's state (staged build rows, distinct
+    /// keys) to the statement; the crew releases it at Close.
+    Status Charge(uint64_t bytes) {
+      charged += bytes;
+      return ChargeQuota(&ctx, bytes);
+    }
+  };
+
+  using Body = std::function<Status(int, Worker&)>;
+
+  explicit FragmentCrew(ExecContext* ec) : ec_(ec) {}
+  FragmentCrew(const FragmentCrew&) = delete;
+  FragmentCrew& operator=(const FragmentCrew&) = delete;
+  ~FragmentCrew() { (void)Join(); }
+
+  /// Launches `workers` workers over `fragment`; worker w runs
+  /// `body(w, worker)` once. A crew that already ran is closed first (an
+  /// NL join re-opens its inner side).
+  Status Start(const PlanNode* fragment, int workers,
+               std::shared_ptr<ParallelismGovernor::Pipeline> pipeline,
+               Body body) {
+    Close();
+    const PlanNode* scan = FragmentScan(fragment);
+    if (scan == nullptr || scan->table == nullptr || scan->table->is_virtual) {
+      return Status::Internal("parallel fragment without a base-table scan");
+    }
+    table::TableHeap* heap = ec_->table_heap(scan->table->oid);
+    if (heap == nullptr) return Status::Internal("missing table heap");
+    dispenser_ = std::make_unique<MorselDispenser>(
+        heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
+                                       : 0);
+    pipeline_ = std::move(pipeline);
+    body_ = std::move(body);
+    revoked_.store(0, std::memory_order_relaxed);
+    workers_ = std::vector<Worker>(workers);
+    for (int w = 0; w < workers; ++w) {
+      Worker& wk = workers_[w];
+      wk.fragment = fragment;
+      wk.ctx = WorkerContext(scan->quantifier);
+      InstallRevocationProbe(w, &wk.ctx);
+    }
+    ec_->stats.parallel_workers_started += static_cast<uint64_t>(workers);
+    folded_ = false;
+    obs::StatementTrace* trace = obs::CurrentStatementTrace();
+    for (int w = 0; w < workers; ++w) {
+      threads_.emplace_back([this, w, trace] { RunWorker(w, trace); });
+    }
+    return Status::OK();
+  }
+
+  /// Joins the workers and returns the first error any of them hit. The
+  /// first call after Start folds their counters into the coordinator's.
+  Status Join() {
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+    threads_.clear();
+    if (!folded_) {
+      folded_ = true;
+      RuntimeStats& s = ec_->stats;
+      for (const Worker& wk : workers_) {
+        const RuntimeStats& w = wk.ctx.stats;
+        s.rows_scanned += w.rows_scanned;
+        s.rows_decoded += w.rows_decoded;
+        s.batches += w.batches;
+        s.batch_rows += w.batch_rows;
+        s.batch_arena_peak_bytes =
+            std::max(s.batch_arena_peak_bytes, w.batch_arena_peak_bytes);
+        s.batch_cap_shrinks += w.batch_cap_shrinks;
+      }
+      s.parallel_workers_revoked +=
+          static_cast<uint64_t>(revoked_.load(std::memory_order_relaxed));
+      s.parallel_morsels += dispenser_->morsels();
+    }
+    LockGuard lock(mu_);
+    return error_;
+  }
+
+  /// Joins, then releases what the workers charged.
+  void Close() {
+    (void)Join();
+    uint64_t charged = 0;
+    for (Worker& wk : workers_) charged += std::exchange(wk.charged, 0);
+    ReleaseQuota(ec_, charged);
+    LockGuard lock(mu_);
+    error_ = Status::OK();
+  }
+
+  /// Bytes the workers charged and the crew still holds; read after Join.
+  uint64_t charged() const {
+    uint64_t n = 0;
+    for (const Worker& wk : workers_) n += wk.charged;
+    return n;
+  }
+
+ private:
+  /// A worker's private context: the coordinator's engine callbacks,
+  /// parameters and TaskMemoryContext, its own stats, and the flag that
+  /// routes its charges through ChargeBytesFromWorker (memory_governor.h
+  /// contract). Feedback and EXPLAIN ANALYZE actuals stay coordinator-only
+  /// — neither collector is thread-safe.
+  ExecContext WorkerContext(int quantifier) const {
+    ExecContext w;
+    w.pool = ec_->pool;
+    w.table_heap = ec_->table_heap;
+    w.index = ec_->index;
+    w.memory = ec_->memory;
+    w.num_quantifiers = ec_->num_quantifiers;
+    w.params = ec_->params;
+    w.batch_cap = ec_->batch_cap;
+    w.scan_masks = ec_->scan_masks;
+    w.morsel_source = dispenser_.get();
+    w.morsel_quantifier = quantifier;
+    w.in_parallel_worker = true;
+    return w;
+  }
+
+  /// The morsel-boundary revocation probe (paper §4.4: "the number of
+  /// threads can easily be changed during execution"). The scan polls it
+  /// right before pulling a NEW morsel (executor.cc), so a revoked worker
+  /// never drops dispensed rows: it sees end of input and winds down
+  /// through its body's normal drain path. Worker 0 always runs to
+  /// completion so the pipeline cannot starve; worker w stands down once
+  /// the governor's target drops to w or below.
+  void InstallRevocationProbe(int w, ExecContext* wc) {
+    ParallelismGovernor* gov = ec_->parallel;
+    if (w == 0 || gov == nullptr || pipeline_ == nullptr) return;
+    wc->morsel_revoked = [this, w, wc, gov] {
+      if (w < gov->Reassess(pipeline_.get(), wc->memory)) return false;
+      revoked_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    };
+  }
+
+  /// Installs the owning statement's trace, so waits inside morsels —
+  /// pool misses, lock conflicts, WAL — land in its tallies (DESIGN.md
+  /// §11, §13), brackets the worker with a detached span, and keeps the
+  /// first error.
+  void RunWorker(int w, obs::StatementTrace* trace) {
+    obs::ScopedCurrentTrace install(trace);
+    uint32_t span = 0;
+    if (trace != nullptr) {
+      span = trace->OpenDetachedSpan(obs::kSpanOpParallelWorker,
+                                     "w" + std::to_string(w));
+    }
+    const Status s = body_(w, workers_[w]);
+    if (trace != nullptr && span != 0) trace->CloseSpan(span);
+    if (!s.ok()) {
+      LockGuard lock(mu_);
+      if (error_.ok()) error_ = s;
+    }
+  }
+
+  ExecContext* ec_;
+  std::unique_ptr<MorselDispenser> dispenser_;
+  std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
+  Body body_;
+  std::vector<Worker> workers_;  // sized once per Start: stable addresses
+  std::atomic<int> revoked_{0};
+  bool folded_ = true;
+  RankedMutex<LockRank::kParallelMerge> mu_;
+  Status error_ GUARDED_BY(mu_);
+  std::vector<std::thread> threads_;
+};
+
+using Worker = FragmentCrew::Worker;
 
 // ---------------------------------------------------------------------------
 // Packets: worker → coordinator row transport. A packet owns its rows
@@ -96,33 +268,25 @@ size_t WorkerBatchCap(const ExecContext& wc) {
 // batch (the RowBatch lifetime contract).
 // ---------------------------------------------------------------------------
 
-/// Rows per packet before a worker pushes (matches the batch cap so one
-/// coordinator batch drains roughly one packet).
 struct Packet {
   std::vector<uint16_t> slots;
   std::vector<std::vector<table::Row>> rows;  // parallel with `slots`
-  std::vector<table::Row> output;
-  bool has_output = false;
+  std::vector<table::Row> output;  // empty, or parallel with the rows
   size_t count = 0;
-};
 
-/// Copies the row bound in `ctx` into the packet; a non-null `output`
-/// (the producing batch's projected row) is moved in beside it.
-void AppendToPacket(Packet* p, const RowContext& ctx,
-                    const std::vector<uint16_t>& slots, table::Row* output) {
-  if (p->slots.empty()) {
-    p->slots = slots;
-    p->rows.resize(slots.size());
+  /// Copies in one row per slot (`rows[i]` for `s[i]`); a non-null
+  /// `out` (the producing batch's projected row) is moved in beside them.
+  void Append(const std::vector<uint16_t>& s, const table::Row* const* rows,
+              table::Row* out) {
+    if (slots.empty()) {
+      slots = s;
+      this->rows.resize(s.size());
+    }
+    for (size_t i = 0; i < s.size(); ++i) this->rows[i].push_back(*rows[i]);
+    if (out != nullptr) output.push_back(std::move(*out));
+    count++;
   }
-  for (size_t i = 0; i < slots.size(); ++i) {
-    p->rows[i].push_back(*ctx.rows[slots[i]]);
-  }
-  if (output != nullptr) {
-    p->output.push_back(std::move(*output));
-    p->has_output = true;
-  }
-  p->count++;
-}
+};
 
 /// Bounded MPMC queue of packets. Workers push (blocking while full, so
 /// a slow coordinator applies backpressure instead of unbounded
@@ -185,95 +349,17 @@ class PacketQueue {
 };
 
 // ---------------------------------------------------------------------------
-// Worker crew: thread lifecycle + statement-trace propagation. Each
-// worker installs the owning statement's trace (so waits inside morsels
-// — pool misses, lock conflicts, WAL — land in the statement's tallies,
-// DESIGN.md §11/§13) and brackets itself with a detached span; the first
-// error any worker hits is kept for the coordinator.
-// ---------------------------------------------------------------------------
-
-class Crew {
- public:
-  explicit Crew(obs::StatementTrace* trace) : trace_(trace) {}
-  ~Crew() { Join(); }
-
-  void Launch(int workers, std::function<Status(int)> body) {
-    for (int w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w, body] {
-        obs::ScopedCurrentTrace install(trace_);
-        uint32_t span = 0;
-        if (trace_ != nullptr) {
-          span = trace_->OpenDetachedSpan(obs::kSpanOpParallelWorker,
-                                          "w" + std::to_string(w));
-        }
-        const Status s = body(w);
-        if (trace_ != nullptr && span != 0) trace_->CloseSpan(span);
-        if (!s.ok()) {
-          LockGuard lock(mu_);
-          if (error_.ok()) error_ = s;
-        }
-      });
-    }
-  }
-
-  void Join() {
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-    threads_.clear();
-  }
-
-  /// Joins, then returns the first worker error (OK when all succeeded).
-  Status TakeError() {
-    Join();
-    LockGuard lock(mu_);
-    return error_;
-  }
-
- private:
-  obs::StatementTrace* trace_;
-  std::vector<std::thread> threads_;
-  RankedMutex<LockRank::kParallelMerge> mu_;
-  Status error_ GUARDED_BY(mu_);
-};
-
-/// Installs the morsel-boundary revocation probe (paper §4.4: "the
-/// number of threads can easily be changed during execution") on every
-/// worker context. The scan polls it right before pulling a NEW morsel
-/// (executor.cc), so a revoked worker never drops dispensed rows: it
-/// sees end-of-input and winds down through its normal drain path.
-/// Worker 0 always runs to completion so the pipeline cannot starve;
-/// other workers stand down once the governor's target drops below
-/// their index. `revoked` counts stand-downs for exec.parallel.*.
-void InstallRevocationProbes(
-    std::vector<ExecContext>* wctxs, ParallelismGovernor* gov,
-    const std::shared_ptr<ParallelismGovernor::Pipeline>& pipeline,
-    std::atomic<int>* revoked) {
-  for (size_t w = 0; w < wctxs->size(); ++w) {
-    ExecContext* wc = &(*wctxs)[w];
-    if (w == 0 || gov == nullptr || pipeline == nullptr) {
-      wc->morsel_revoked = nullptr;
-      continue;
-    }
-    wc->morsel_revoked = [w, wc, gov, pipeline, revoked] {
-      if (static_cast<int>(w) <
-          gov->Reassess(pipeline.get(), wc->memory)) {
-        return false;
-      }
-      revoked->fetch_add(1, std::memory_order_relaxed);
-      return true;
-    };
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming exchange base: coordinator-side packet cursor shared by the
-// scan/filter/project exchange and the hash-join probe. Subclasses own
-// the crew; Finish() joins it, folds stats, and surfaces worker errors.
+// Streaming exchange base: the coordinator-side packet cursor shared by
+// the scan/filter/project exchange and the hash-join probe, over one crew
+// of packet producers. Subclasses whose members the workers read call
+// Stop() in their own destructor, before those members go.
 // ---------------------------------------------------------------------------
 
 class StreamingExchangeOp : public Operator {
  public:
+  explicit StreamingExchangeOp(ExecContext* ec) : crew_(ec) {}
+  ~StreamingExchangeOp() override { Stop(); }
+
   Result<bool> NextBatch(RowBatch* b) override {
     b->Reset();
     for (;;) {
@@ -285,7 +371,7 @@ class StreamingExchangeOp : public Operator {
             col[i] = &packet_.rows[si][pos_ + i];
           }
         }
-        if (packet_.has_output) {
+        if (!packet_.output.empty()) {
           table::Row* out = b->OutputColumn();
           for (size_t i = 0; i < n; ++i) {
             out[i] = std::move(packet_.output[pos_ + i]);
@@ -300,137 +386,89 @@ class StreamingExchangeOp : public Operator {
       if (queue_ == nullptr || !queue_->Pop(&packet_)) {
         packet_ = Packet();
         pos_ = 0;
-        HDB_RETURN_IF_ERROR(Finish());
+        HDB_RETURN_IF_ERROR(crew_.Join());
         return false;
       }
       pos_ = 0;
     }
   }
 
- protected:
-  /// Joins the crew and surfaces the first worker error. Must tolerate
-  /// repeated calls (NextBatch keeps returning false after end).
-  virtual Status Finish() = 0;
+  void Close() override {
+    Stop();
+    crew_.Close();
+  }
 
+ protected:
+  /// Starts `workers` producers over `fragment`; each runs `body` and then
+  /// signs off the queue.
+  Status StartStream(const PlanNode* fragment, int workers,
+                     std::shared_ptr<ParallelismGovernor::Pipeline> pipeline,
+                     FragmentCrew::Body body) {
+    Stop();
+    queue_ = std::make_unique<PacketQueue>(2 * static_cast<size_t>(workers),
+                                           workers);
+    return crew_.Start(fragment, workers, std::move(pipeline),
+                       [this, body = std::move(body)](int w, Worker& wk) {
+                         const Status s = body(w, wk);
+                         queue_->ProducerDone();
+                         return s;
+                       });
+  }
+
+  /// False once the coordinator stopped listening.
+  bool Push(Packet&& p) { return queue_->Push(std::move(p)); }
+
+  /// Unblocks and joins the producers.
+  void Stop() {
+    if (queue_ != nullptr) queue_->Abort();
+    (void)crew_.Join();
+  }
+
+ private:
   std::unique_ptr<PacketQueue> queue_;
   Packet packet_;
   size_t pos_ = 0;
+  FragmentCrew crew_;
 };
 
 // ---------------------------------------------------------------------------
-// ExchangeScanOp: parallel scan/filter/project. Workers run private
-// copies of the fragment over the shared dispenser and stream packets.
+// ExchangeScanOp: parallel scan/filter/project. Each worker batch becomes
+// one packet.
 // ---------------------------------------------------------------------------
 
 class ExchangeScanOp : public StreamingExchangeOp {
  public:
   ExchangeScanOp(const PlanNode* plan, ExecContext* ec, int workers)
-      : plan_(plan), ec_(ec), workers_(workers),
+      : StreamingExchangeOp(ec), plan_(plan), ec_(ec), workers_(workers),
         produces_output_(PlanProducesOutput(plan)) {}
-
-  ~ExchangeScanOp() override { Shutdown(); }
+  ~ExchangeScanOp() override { Stop(); }
 
   Status Open() override {
     const PlanNode* scan = FragmentScan(plan_);
-    if (scan == nullptr || scan->table == nullptr || scan->table->is_virtual) {
-      return Status::Internal("parallel fragment without a base-table scan");
+    if (scan == nullptr) {
+      return Status::Internal("parallel fragment without a seq scan");
     }
-    table::TableHeap* heap = ec_->table_heap(scan->table->oid);
-    if (heap == nullptr) return Status::Internal("missing table heap");
-    Shutdown();  // NL-join parents re-open: tear down any previous crew
-    finished_ = false;
-    folded_ = false;
-    revoked_.store(0, std::memory_order_relaxed);
-    dispenser_ = std::make_unique<MorselDispenser>(
-        heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
-                                       : 0);
-    queue_ = std::make_unique<PacketQueue>(2 * static_cast<size_t>(workers_),
-                                           workers_);
-    pipeline_ =
-        ec_->parallel != nullptr ? ec_->parallel->StartPipeline(workers_)
-                                 : nullptr;
-    ec_->stats.parallel_pipelines++;
-    ec_->stats.parallel_workers_started += static_cast<uint64_t>(workers_);
-    RecordActualWorkers(ec_, plan_, workers_);
     slots_ = {static_cast<uint16_t>(scan->quantifier)};
-    wctxs_.clear();
-    wctxs_.reserve(workers_);
-    for (int w = 0; w < workers_; ++w) {
-      wctxs_.push_back(
-          MakeWorkerContext(*ec_, dispenser_.get(), scan->quantifier));
-    }
-    InstallRevocationProbes(&wctxs_, ec_->parallel, pipeline_, &revoked_);
-    crew_ = std::make_unique<Crew>(obs::CurrentStatementTrace());
-    crew_->Launch(workers_, [this](int w) { return Worker(w); });
-    return Status::OK();
-  }
-
-  void Close() override {
-    Shutdown();
-    FoldStats();
+    return StartStream(plan_, workers_, StartPipeline(ec_, plan_, workers_),
+                       [this](int, Worker& wk) {
+                         return wk.Drive([this](RowBatch& b) {
+                           return Produce(b);
+                         });
+                       });
   }
 
  private:
-  Status Worker(int w) {
-    const Status s = WorkerBody(w);
-    queue_->ProducerDone();
-    return s;
-  }
-
-  Status WorkerBody(int w) {
-    ExecContext* wc = &wctxs_[w];
-    HDB_ASSIGN_OR_RETURN(auto root, BuildExecutor(plan_, wc));
-    Status s = Produce(wc, root.get());
-    root->Close();
-    return s;
-  }
-
-  // Revocation happens inside the scan, at morsel boundaries (the
-  // morsel_revoked probe): a revoked worker simply sees end-of-input.
-  Status Produce(ExecContext* wc, Operator* root) {
-    HDB_RETURN_IF_ERROR(root->Open());
-    RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
-    RowContext ctx;
-    ctx.rows.assign(wc->num_quantifiers + 1, nullptr);
-    ctx.params = wc->params;
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
-      if (!more) return Status::OK();
-      const size_t n = batch.ActiveCount();
-      if (n == 0) continue;
-      Packet p;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t pos = batch.Active(i);
-        batch.BindRow(pos, &ctx);
-        AppendToPacket(&p, ctx, slots_,
-                       produces_output_ ? batch.MutableOutput(pos) : nullptr);
-      }
-      if (!queue_->Push(std::move(p))) return Status::OK();
+  Result<bool> Produce(RowBatch& b) {
+    const size_t n = b.ActiveCount();
+    if (n == 0) return true;
+    const table::Row* const* col = b.Column(slots_[0]);
+    Packet p;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t pos = b.Active(i);
+      p.Append(slots_, &col[pos],
+               produces_output_ ? b.MutableOutput(pos) : nullptr);
     }
-  }
-
-  Status Finish() override {
-    if (finished_) return finish_status_;
-    finished_ = true;
-    finish_status_ = crew_ != nullptr ? crew_->TakeError() : Status::OK();
-    FoldStats();
-    return finish_status_;
-  }
-
-  void Shutdown() {
-    if (queue_ != nullptr) queue_->Abort();
-    if (crew_ != nullptr) crew_->Join();
-  }
-
-  void FoldStats() {
-    if (folded_) return;
-    folded_ = true;
-    for (const ExecContext& wc : wctxs_) FoldWorkerStats(ec_, wc.stats);
-    ec_->stats.parallel_workers_revoked +=
-        static_cast<uint64_t>(revoked_.load(std::memory_order_relaxed));
-    if (dispenser_ != nullptr) {
-      ec_->stats.parallel_morsels += dispenser_->morsels();
-    }
+    return Push(std::move(p));
   }
 
   const PlanNode* plan_;
@@ -438,14 +476,6 @@ class ExchangeScanOp : public StreamingExchangeOp {
   const int workers_;
   const bool produces_output_;
   std::vector<uint16_t> slots_;
-  std::unique_ptr<MorselDispenser> dispenser_;
-  std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
-  std::vector<ExecContext> wctxs_;
-  std::unique_ptr<Crew> crew_;
-  std::atomic<int> revoked_{0};
-  bool finished_ = false;
-  bool folded_ = false;
-  Status finish_status_;
 };
 
 // ---------------------------------------------------------------------------
@@ -464,9 +494,9 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
   static constexpr int kPartitions = 32;
 
   ExchangeHashJoinOp(const PlanNode* plan, ExecContext* ec, int workers)
-      : plan_(plan), ec_(ec), workers_(workers) {}
-
-  ~ExchangeHashJoinOp() override { Shutdown(); }
+      : StreamingExchangeOp(ec), plan_(plan), ec_(ec), workers_(workers),
+        build_crew_(ec) {}
+  ~ExchangeHashJoinOp() override { Stop(); }
 
   Status Open() override {
     const PlanNode* inner_scan = FragmentScan(plan_->children[1].get());
@@ -474,86 +504,42 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
     if (inner_scan == nullptr || outer_scan == nullptr) {
       return Status::Internal("parallel join fragment without a seq scan");
     }
-    table::TableHeap* inner_heap = ec_->table_heap(inner_scan->table->oid);
-    table::TableHeap* outer_heap = ec_->table_heap(outer_scan->table->oid);
-    if (inner_heap == nullptr || outer_heap == nullptr) {
-      return Status::Internal("missing table heap");
-    }
-    Shutdown();
+    Stop();  // the previous probe crew reads parts_
     build_q_ = inner_scan->quantifier;
     slots_ = {static_cast<uint16_t>(outer_scan->quantifier),
               static_cast<uint16_t>(build_q_)};
-    const size_t morsel_rows =
-        ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows : 0;
-    pipeline_ =
-        ec_->parallel != nullptr ? ec_->parallel->StartPipeline(workers_)
-                                 : nullptr;
-    ec_->stats.parallel_pipelines++;
-    RecordActualWorkers(ec_, plan_, workers_);
+    auto pipeline = StartPipeline(ec_, plan_, workers_);
 
-    // --- Phase 1: parallel partitioned build (blocking) ---
-    build_dispenser_ =
-        std::make_unique<MorselDispenser>(inner_heap, morsel_rows);
+    // Phase 1: parallel partitioned build (blocking).
     staged_.assign(workers_, std::vector<std::vector<BuildEntry>>(
                                  kPartitions, std::vector<BuildEntry>()));
-    wctxs_.clear();
-    wctxs_.reserve(workers_);
-    for (int w = 0; w < workers_; ++w) {
-      wctxs_.push_back(MakeWorkerContext(*ec_, build_dispenser_.get(),
-                                         inner_scan->quantifier));
-    }
-    InstallRevocationProbes(&wctxs_, ec_->parallel, pipeline_, &revoked_);
-    ec_->stats.parallel_workers_started += static_cast<uint64_t>(workers_);
-    {
-      Crew build_crew(obs::CurrentStatementTrace());
-      build_crew.Launch(workers_,
-                        [this](int w) { return BuildWorker(w); });
-      HDB_RETURN_IF_ERROR(build_crew.TakeError());
-    }
-    for (const ExecContext& wc : wctxs_) FoldWorkerStats(ec_, wc.stats);
-    ec_->stats.parallel_morsels += build_dispenser_->morsels();
+    HDB_RETURN_IF_ERROR(build_crew_.Start(
+        plan_->children[1].get(), workers_, pipeline,
+        [this](int w, Worker& wk) { return Build(w, wk); }));
+    HDB_RETURN_IF_ERROR(build_crew_.Join());
 
-    // --- Phase 2: partition-parallel merge + streaming probe ---
-    // Revocation during the build may have lowered the target; the probe
-    // crew starts at the surviving count.
-    probe_workers_ = workers_;
-    if (pipeline_ != nullptr) {
-      probe_workers_ = std::max(
-          1, std::min(workers_, pipeline_->target.load(std::memory_order_relaxed)));
-    }
+    // Phase 2: partition-parallel merge + streaming probe. Revocation
+    // during the build may have lowered the target; the probe crew starts
+    // at the surviving count.
+    probe_workers_ =
+        pipeline == nullptr
+            ? workers_
+            : std::clamp(pipeline->target.load(std::memory_order_relaxed), 1,
+                         workers_);
     parts_ = std::make_unique<Partition[]>(kPartitions);
-    probe_dispenser_ =
-        std::make_unique<MorselDispenser>(outer_heap, morsel_rows);
-    wctxs_.clear();
-    wctxs_.reserve(probe_workers_);
-    for (int w = 0; w < probe_workers_; ++w) {
-      wctxs_.push_back(MakeWorkerContext(*ec_, probe_dispenser_.get(),
-                                         outer_scan->quantifier));
-    }
-    InstallRevocationProbes(&wctxs_, ec_->parallel, pipeline_, &revoked_);
-    queue_ = std::make_unique<PacketQueue>(
-        2 * static_cast<size_t>(probe_workers_), probe_workers_);
-    merge_barrier_ = std::make_unique<Barrier>(probe_workers_);
-    ec_->stats.parallel_workers_started +=
-        static_cast<uint64_t>(probe_workers_);
-    finished_ = false;
-    folded_ = false;
-    crew_ = std::make_unique<Crew>(obs::CurrentStatementTrace());
-    crew_->Launch(probe_workers_, [this](int w) { return ProbeWorker(w); });
-    return Status::OK();
+    merged_ = std::make_unique<std::latch>(probe_workers_);
+    return StartStream(plan_->children[0].get(), probe_workers_, pipeline,
+                       [this](int w, Worker& wk) { return Probe(w, wk); });
   }
 
   void Close() override {
-    Shutdown();
-    FoldStats();
-    ReleaseMemory();
+    StreamingExchangeOp::Close();
+    build_crew_.Close();
     parts_.reset();
     staged_.clear();
   }
 
-  uint64_t MemoryBytes() const override {
-    return charged_.load(std::memory_order_relaxed);
-  }
+  uint64_t MemoryBytes() const override { return build_crew_.charged(); }
 
  private:
   struct BuildEntry {
@@ -570,70 +556,37 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
     std::vector<table::Row> rows;
   };
 
-  class Barrier {
-   public:
-    explicit Barrier(int n) : remaining_(n) {}
-    void ArriveAndWait() {
-      UniqueLock lock(mu_);
-      if (--remaining_ == 0) {
-        cv_.notify_all();
-        return;
-      }
-      while (remaining_ > 0) cv_.wait(lock);
-    }
-
-   private:
-    RankedMutex<LockRank::kParallelMerge> mu_;
-    std::condition_variable_any cv_;
-    int remaining_ GUARDED_BY(mu_);
-  };
-
-  Status BuildWorker(int w) {
-    ExecContext* wc = &wctxs_[w];
-    HDB_ASSIGN_OR_RETURN(auto root,
-                         BuildExecutor(plan_->children[1].get(), wc));
-    Status s = BuildLoop(w, wc, root.get());
-    root->Close();
-    return s;
-  }
-
-  // A revoked build worker's staged rows are still merged — only
-  // un-dispensed morsels shift to the surviving workers (revocation is
-  // the scan's morsel_revoked probe; the loop just sees end-of-input).
-  Status BuildLoop(int w, ExecContext* wc, Operator* root) {
-    HDB_RETURN_IF_ERROR(root->Open());
-    RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
+  /// Stages each build row of the worker's morsels under its key's hash
+  /// partition. A revoked build worker's staged rows are still merged —
+  /// only un-dispensed morsels shift to the surviving workers.
+  Status Build(int w, Worker& wk) {
+    BatchExprs key({plan_->inner_key.get()});
     RowContext ctx;
-    ctx.rows.assign(wc->num_quantifiers + 1, nullptr);
-    ctx.params = wc->params;
-    Value key;
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
-      if (!more) return Status::OK();
-      const size_t n = batch.ActiveCount();
+    InitScratchCtx(&wk.ctx, &ctx);
+    auto& staged = staged_[w];
+    return wk.Drive([&](RowBatch& b) -> Result<bool> {
+      key.Bind(b);
+      const table::Row* const* rows = b.Column(build_q_);
+      const size_t n = b.ActiveCount();
       uint64_t batch_bytes = 0;
       for (size_t i = 0; i < n; ++i) {
-        batch.BindRow(batch.Active(i), &ctx);
-        HDB_ASSIGN_OR_RETURN(key, plan_->inner_key->Evaluate(ctx));
-        if (key.is_null()) continue;
-        const uint64_t h = key.Hash();
-        const int p = static_cast<int>(h % kPartitions);
-        const table::Row& row = *ctx.rows[build_q_];
+        const size_t pos = b.Active(i);
+        HDB_RETURN_IF_ERROR(key.Prepare(b, pos, &ctx));
+        const Value& k = key.Get(0, pos);
+        if (k.is_null()) continue;
+        const uint64_t h = k.Hash();
+        const table::Row& row = *rows[pos];
         batch_bytes += 48 * row.size() + 96;
-        staged_[w][p].push_back(BuildEntry{h, key, row});
+        staged[h % kPartitions].push_back(BuildEntry{h, k, row});
       }
-      if (batch_bytes > 0 && wc->memory != nullptr) {
-        // One charge per fragment batch, not per row, to keep latch
-        // traffic off the hot path. Never runs the spill scheduler
-        // (memory_governor.h worker contract); Eq. (4) aborts the
-        // statement from here.
-        HDB_RETURN_IF_ERROR(wc->memory->ChargeBytesFromWorker(batch_bytes));
-        charged_.fetch_add(batch_bytes, std::memory_order_relaxed);
-      }
-    }
+      // One charge per fragment batch, not per row, to keep latch traffic
+      // off the hot path.
+      if (batch_bytes > 0) HDB_RETURN_IF_ERROR(wk.Charge(batch_bytes));
+      return true;
+    });
   }
 
-  Status ProbeWorker(int w) {
+  Status Probe(int w, Worker& wk) {
     // Merge this worker's disjoint partition subset, then wait for every
     // sibling — the table must be complete and immutable before any
     // probe begins.
@@ -647,91 +600,47 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
         }
       }
     }
-    merge_barrier_->ArriveAndWait();
-    const Status s = ProbeBody(w);
-    queue_->ProducerDone();
-    return s;
-  }
+    merged_->arrive_and_wait();
 
-  Status ProbeBody(int w) {
-    ExecContext* wc = &wctxs_[w];
-    HDB_ASSIGN_OR_RETURN(auto root,
-                         BuildExecutor(plan_->children[0].get(), wc));
-    Status s = ProbeLoop(wc, root.get());
-    root->Close();
-    return s;
-  }
-
-  Status ProbeLoop(ExecContext* wc, Operator* root) {
-    HDB_RETURN_IF_ERROR(root->Open());
-    const size_t cap = WorkerBatchCap(*wc);
-    RowBatch batch(wc->num_quantifiers + 1, cap, wc->params);
+    BatchExprs key({plan_->outer_key.get()});
     RowContext ctx;
-    ctx.rows.assign(wc->num_quantifiers + 1, nullptr);
-    ctx.params = wc->params;
-    Value key;
+    InitScratchCtx(&wk.ctx, &ctx);
+    const optimizer::Expr* extra = plan_->extra_condition.get();
+    const size_t cap =
+        wk.ctx.batch_cap != 0 ? wk.ctx.batch_cap : kDefaultBatchCap;
     Packet pkt;
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
-      if (!more) break;
-      const size_t n = batch.ActiveCount();
+    HDB_RETURN_IF_ERROR(wk.Drive([&](RowBatch& b) -> Result<bool> {
+      key.Bind(b);
+      const table::Row* const* outer = b.Column(slots_[0]);
+      const size_t n = b.ActiveCount();
       for (size_t i = 0; i < n; ++i) {
-        batch.BindRow(batch.Active(i), &ctx);
-        HDB_ASSIGN_OR_RETURN(key, plan_->outer_key->Evaluate(ctx));
-        if (key.is_null()) continue;
-        const uint64_t h = key.Hash();
+        const size_t pos = b.Active(i);
+        HDB_RETURN_IF_ERROR(key.Prepare(b, pos, &ctx));
+        const Value& k = key.Get(0, pos);
+        if (k.is_null()) continue;
+        const uint64_t h = k.Hash();
         const Partition& part = parts_[h % kPartitions];
         for (uint32_t idx = part.table.First(h); idx != JoinIndex::kEnd;
              idx = part.table.Next(idx)) {
-          if (part.keys[idx].Compare(key) != 0) continue;
-          ctx.rows[build_q_] = &part.rows[idx];
-          if (plan_->extra_condition != nullptr) {
-            HDB_ASSIGN_OR_RETURN(
-                const bool ok, plan_->extra_condition->EvaluatesToTrue(ctx));
+          if (part.keys[idx].Compare(k) != 0) continue;
+          if (extra != nullptr) {
+            b.BindRow(pos, &ctx);
+            ctx.rows[build_q_] = &part.rows[idx];
+            HDB_ASSIGN_OR_RETURN(const bool ok, extra->EvaluatesToTrue(ctx));
             if (!ok) continue;
           }
-          AppendToPacket(&pkt, ctx, slots_, /*output=*/nullptr);
+          const table::Row* matched[] = {outer[pos], &part.rows[idx]};
+          pkt.Append(slots_, matched, /*out=*/nullptr);
           if (pkt.count >= cap) {
-            if (!queue_->Push(std::move(pkt))) return Status::OK();
+            if (!Push(std::move(pkt))) return false;
             pkt = Packet();
           }
         }
-        ctx.rows[build_q_] = nullptr;
       }
-    }
-    if (pkt.count > 0) queue_->Push(std::move(pkt));
+      return true;
+    }));
+    if (pkt.count > 0) Push(std::move(pkt));
     return Status::OK();
-  }
-
-  Status Finish() override {
-    if (finished_) return finish_status_;
-    finished_ = true;
-    finish_status_ = crew_ != nullptr ? crew_->TakeError() : Status::OK();
-    FoldStats();
-    return finish_status_;
-  }
-
-  void Shutdown() {
-    if (queue_ != nullptr) queue_->Abort();
-    if (crew_ != nullptr) crew_->Join();
-  }
-
-  void FoldStats() {
-    if (folded_) return;
-    folded_ = true;
-    for (const ExecContext& wc : wctxs_) FoldWorkerStats(ec_, wc.stats);
-    ec_->stats.parallel_workers_revoked +=
-        static_cast<uint64_t>(revoked_.exchange(0, std::memory_order_relaxed));
-    if (probe_dispenser_ != nullptr) {
-      ec_->stats.parallel_morsels += probe_dispenser_->morsels();
-    }
-  }
-
-  void ReleaseMemory() {
-    const uint64_t charged = charged_.exchange(0, std::memory_order_relaxed);
-    if (charged > 0 && ec_->memory != nullptr) {
-      ec_->memory->ReleaseBytes(charged);
-    }
   }
 
   const PlanNode* plan_;
@@ -739,249 +648,129 @@ class ExchangeHashJoinOp : public StreamingExchangeOp {
   const int workers_;
   int probe_workers_ = 1;
   int build_q_ = -1;
-  std::vector<uint16_t> slots_;
-  std::unique_ptr<MorselDispenser> build_dispenser_;
-  std::unique_ptr<MorselDispenser> probe_dispenser_;
-  std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
+  std::vector<uint16_t> slots_;  // outer, build
   std::vector<std::vector<std::vector<BuildEntry>>> staged_;  // [w][part]
   std::unique_ptr<Partition[]> parts_;
-  std::unique_ptr<Barrier> merge_barrier_;
-  std::vector<ExecContext> wctxs_;
-  std::unique_ptr<Crew> crew_;
-  std::atomic<int> revoked_{0};
-  std::atomic<uint64_t> charged_{0};
-  bool finished_ = false;
-  bool folded_ = false;
-  Status finish_status_;
+  std::unique_ptr<std::latch> merged_;  // every partition is merged
+  FragmentCrew build_crew_;
 };
 
 // ---------------------------------------------------------------------------
-// Parallel pre-aggregation (hash group by / distinct): workers build
-// per-worker partial tables from FCFS morsels, merge them under the merge
-// latch at the barrier (AggMerge — the same partial-merge the spill
-// replay uses), and the coordinator emits serially. The tables are the
-// serial operators' GroupTable / KeyTable, and emission is in encoded-key
-// order, so group-by output matches the serial HashGroupByOp exactly.
+// Parallel pre-aggregation (hash group by / distinct): each worker folds
+// its morsels into a private table with the serial operator's own step,
+// merges it into the shared one under the merge latch once its fragment
+// drains (revoked workers included), and the coordinator emits serially.
+// The tables are the serial operators' GroupTable / KeyTable, and
+// emission is in encoded-key order, so group-by output matches the serial
+// HashGroupByOp exactly.
 // ---------------------------------------------------------------------------
 
-class ExchangeGroupByOp : public Operator {
+/// The crew both pre-aggregations run inside Open, whose workers merge
+/// into a table guarded by merge_mu_.
+class PreAggregateOp : public Operator {
+ public:
+  PreAggregateOp(const PlanNode* plan, ExecContext* ec, int workers)
+      : plan_(plan), ec_(ec), workers_(workers), crew_(ec) {}
+
+  uint64_t MemoryBytes() const override { return crew_.charged(); }
+
+ protected:
+  /// Runs `body` on every worker of a crew over the child fragment, to the
+  /// end.
+  Status RunCrew(FragmentCrew::Body body) {
+    HDB_RETURN_IF_ERROR(crew_.Start(plan_->children[0].get(), workers_,
+                                    StartPipeline(ec_, plan_, workers_),
+                                    std::move(body)));
+    return crew_.Join();
+  }
+
+  const PlanNode* plan_;
+  ExecContext* ec_;
+  const int workers_;
+  RankedMutex<LockRank::kParallelMerge> merge_mu_;
+  FragmentCrew crew_;
+};
+
+class ExchangeGroupByOp : public PreAggregateOp {
  public:
   ExchangeGroupByOp(const PlanNode* plan, ExecContext* ec, int workers)
-      : plan_(plan), ec_(ec), workers_(workers),
+      : PreAggregateOp(plan, ec, workers),
         merged_(plan->group_keys.size(), plan->aggregates.size()) {}
 
   Status Open() override {
-    const PlanNode* scan = FragmentScan(plan_->children[0].get());
-    if (scan == nullptr) {
-      return Status::Internal("parallel fragment without a seq scan");
-    }
-    table::TableHeap* heap = ec_->table_heap(scan->table->oid);
-    if (heap == nullptr) return Status::Internal("missing table heap");
     merged_.Clear();
-    results_.clear();
-    dispenser_ = std::make_unique<MorselDispenser>(
-        heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
-                                       : 0);
-    pipeline_ =
-        ec_->parallel != nullptr ? ec_->parallel->StartPipeline(workers_)
-                                 : nullptr;
-    ec_->stats.parallel_pipelines++;
-    ec_->stats.parallel_workers_started += static_cast<uint64_t>(workers_);
-    RecordActualWorkers(ec_, plan_, workers_);
-    wctxs_.clear();
-    wctxs_.reserve(workers_);
-    for (int w = 0; w < workers_; ++w) {
-      wctxs_.push_back(
-          MakeWorkerContext(*ec_, dispenser_.get(), scan->quantifier));
-    }
-    InstallRevocationProbes(&wctxs_, ec_->parallel, pipeline_, &revoked_);
-    {
-      Crew crew(obs::CurrentStatementTrace());
-      crew.Launch(workers_, [this](int w) { return Worker(w); });
-      HDB_RETURN_IF_ERROR(crew.TakeError());
-    }
-    for (const ExecContext& wc : wctxs_) FoldWorkerStats(ec_, wc.stats);
-    ec_->stats.parallel_workers_revoked +=
-        static_cast<uint64_t>(revoked_.exchange(0, std::memory_order_relaxed));
-    ec_->stats.parallel_morsels += dispenser_->morsels();
-    results_ = merged_.Finalize(plan_->aggregates);
-    pos_ = 0;
+    emit_.Clear();
+    HDB_RETURN_IF_ERROR(RunCrew([this](int, Worker& wk) {
+      GroupTable local(plan_->group_keys.size(), plan_->aggregates.size());
+      GroupAccumulator acc(plan_, wk.ctx);
+      const Status s = wk.Drive([&](RowBatch& b) -> Result<bool> {
+        HDB_RETURN_IF_ERROR(acc.Fold(b, &local, &wk.ctx, &wk.charged));
+        return true;
+      });
+      if (s.ok()) Merge(local);
+      return s;
+    }));
+    emit_.Reset(merged_.Finalize(plan_->aggregates));
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
-    b->Reset();
-    const size_t group_slot = ec_->num_quantifiers;
-    const table::Row** col = b->BindSlot(group_slot);
-    size_t n = 0;
-    while (n < b->capacity() && pos_ < results_.size()) {
-      col[n++] = &results_[pos_++];
-    }
-    if (n == 0) return false;
-    b->SetSize(n);
-    if (plan_->having != nullptr) {
-      if (emit_ctx_.rows.size() != b->num_slots()) {
-        emit_ctx_.rows.assign(b->num_slots(), nullptr);
-        emit_ctx_.params = b->params();
-      }
-      uint16_t* sel = b->MutableSel();
-      size_t k = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t pos = b->Active(i);
-        b->BindRow(pos, &emit_ctx_);
-        HDB_ASSIGN_OR_RETURN(const bool ok,
-                             plan_->having->EvaluatesToTrue(emit_ctx_));
-        if (ok) sel[k++] = static_cast<uint16_t>(pos);
-      }
-      b->SetSelection(k);
-    }
-    return true;
+    return emit_.Next(ec_->num_quantifiers, plan_->having.get(), b);
   }
 
   void Close() override {
-    const uint64_t charged = charged_.exchange(0, std::memory_order_relaxed);
-    if (charged > 0 && ec_->memory != nullptr) {
-      ec_->memory->ReleaseBytes(charged);
-    }
+    crew_.Close();
     merged_.Clear();
-    results_.clear();
-  }
-
-  uint64_t MemoryBytes() const override {
-    return charged_.load(std::memory_order_relaxed);
+    emit_.Clear();
   }
 
  private:
-  Status Worker(int w) {
-    ExecContext* wc = &wctxs_[w];
-    HDB_ASSIGN_OR_RETURN(auto root,
-                         BuildExecutor(plan_->children[0].get(), wc));
-    GroupTable local(plan_->group_keys.size(), plan_->aggregates.size());
-    Status s = AggregateLoop(wc, root.get(), &local);
-    root->Close();
-    if (s.ok()) MergeLocal(local);  // revoked workers still merge partials
-    return s;
-  }
-
-  Status AggregateLoop(ExecContext* wc, Operator* root, GroupTable* local) {
-    HDB_RETURN_IF_ERROR(root->Open());
-    RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
-    RowContext ctx;
-    ctx.rows.assign(wc->num_quantifiers + 1, nullptr);
-    ctx.params = wc->params;
-    const size_t nkeys = plan_->group_keys.size();
-    const size_t naggs = plan_->aggregates.size();
-    std::vector<Value> keys(nkeys);
-    std::vector<Value> args(naggs);
-    auto key = [&](size_t i) -> const Value& { return keys[i]; };
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
-      if (!more) return Status::OK();
-      const size_t n = batch.ActiveCount();
-      for (size_t i = 0; i < n; ++i) {
-        batch.BindRow(batch.Active(i), &ctx);
-        for (size_t ki = 0; ki < nkeys; ++ki) {
-          HDB_ASSIGN_OR_RETURN(keys[ki],
-                               plan_->group_keys[ki]->Evaluate(ctx));
-        }
-        for (size_t a = 0; a < naggs; ++a) {
-          const auto& spec = plan_->aggregates[a];
-          if (spec.arg != nullptr) {
-            HDB_ASSIGN_OR_RETURN(args[a], spec.arg->Evaluate(ctx));
-          } else {
-            args[a] = Value();
-          }
-        }
-        const uint64_t h = KeyHash(nkeys, key);
-        uint32_t g = local->keys.Find(h, key);
-        if (g == FlatHashTable::kAbsent) {
-          g = local->Add(h, key);
-          const uint64_t bytes =
-              EncodedValuesBytes(keys.data(), nkeys) + 64 * naggs + 64;
-          if (wc->memory != nullptr) {
-            HDB_RETURN_IF_ERROR(wc->memory->ChargeBytesFromWorker(bytes));
-          }
-          charged_.fetch_add(bytes, std::memory_order_relaxed);
-        }
-        AggState* states = local->states_of(g);
-        for (size_t a = 0; a < naggs; ++a) {
-          AggUpdate(states[a], plan_->aggregates[a].kind, args[a]);
-        }
-      }
-    }
-  }
-
-  void MergeLocal(const GroupTable& local) {
+  void Merge(const GroupTable& local) {
     LockGuard lock(merge_mu_);
     for (uint32_t g = 0; g < local.size(); ++g) {
       merged_.Merge(local.keys.key(g), local.states_of(g));
     }
   }
 
-  const PlanNode* plan_;
-  ExecContext* ec_;
-  const int workers_;
-  std::unique_ptr<MorselDispenser> dispenser_;
-  std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
-  std::vector<ExecContext> wctxs_;
-  RankedMutex<LockRank::kParallelMerge> merge_mu_;
   GroupTable merged_ GUARDED_BY(merge_mu_);
-  std::atomic<int> revoked_{0};
-  std::atomic<uint64_t> charged_{0};
-
-  std::vector<table::Row> results_;  // finalized, in emission order
-  size_t pos_ = 0;
-  RowContext emit_ctx_;
+  GroupEmitter emit_;
 };
 
 /// Parallel DISTINCT: per-worker dedup tables (output row → first
-/// occurrence, under the serial operator's key identity) merged at the
-/// barrier. Emission is in encoded-key order — deterministic, but
+/// occurrence, under the serial operator's key identity) merged as each
+/// worker drains. Emission is in encoded-key order — deterministic, but
 /// different from the serial streaming operator's arrival order; DISTINCT
 /// without ORDER BY is unordered by contract (and ORDER BY below DISTINCT
 /// makes the fragment ineligible, so the parallel path never has an order
 /// to preserve).
-class ExchangeDistinctOp : public Operator {
+class ExchangeDistinctOp : public PreAggregateOp {
  public:
-  ExchangeDistinctOp(const PlanNode* plan, ExecContext* ec, int workers)
-      : plan_(plan), ec_(ec), workers_(workers) {}
+  using PreAggregateOp::PreAggregateOp;
 
   Status Open() override {
-    const PlanNode* scan = FragmentScan(plan_->children[0].get());
-    if (scan == nullptr) {
-      return Status::Internal("parallel fragment without a seq scan");
-    }
     if (!PlanProducesOutput(plan_->children[0].get())) {
       return Status::Internal("parallel distinct fragment without projection");
     }
-    table::TableHeap* heap = ec_->table_heap(scan->table->oid);
-    if (heap == nullptr) return Status::Internal("missing table heap");
     merged_.Clear();
-    dispenser_ = std::make_unique<MorselDispenser>(
-        heap, ec_->parallel != nullptr ? ec_->parallel->options().morsel_rows
-                                       : 0);
-    pipeline_ =
-        ec_->parallel != nullptr ? ec_->parallel->StartPipeline(workers_)
-                                 : nullptr;
-    ec_->stats.parallel_pipelines++;
-    ec_->stats.parallel_workers_started += static_cast<uint64_t>(workers_);
-    RecordActualWorkers(ec_, plan_, workers_);
-    wctxs_.clear();
-    wctxs_.reserve(workers_);
-    for (int w = 0; w < workers_; ++w) {
-      wctxs_.push_back(
-          MakeWorkerContext(*ec_, dispenser_.get(), scan->quantifier));
-    }
-    InstallRevocationProbes(&wctxs_, ec_->parallel, pipeline_, &revoked_);
-    {
-      Crew crew(obs::CurrentStatementTrace());
-      crew.Launch(workers_, [this](int w) { return Worker(w); });
-      HDB_RETURN_IF_ERROR(crew.TakeError());
-    }
-    for (const ExecContext& wc : wctxs_) FoldWorkerStats(ec_, wc.stats);
-    ec_->stats.parallel_workers_revoked +=
-        static_cast<uint64_t>(revoked_.exchange(0, std::memory_order_relaxed));
-    ec_->stats.parallel_morsels += dispenser_->morsels();
+    HDB_RETURN_IF_ERROR(RunCrew([this](int, Worker& wk) {
+      KeyTable local;
+      const Status s = wk.Drive([&](RowBatch& b) -> Result<bool> {
+        const size_t n = b.ActiveCount();
+        for (size_t i = 0; i < n; ++i) {
+          const table::Row& row = b.output(b.Active(i));
+          auto key = [&](size_t k) -> const Value& { return row[k]; };
+          const uint64_t h = KeyHash(row.size(), key);
+          if (local.size() == 0) local.Reset(row.size());
+          if (local.Find(h, key) != FlatHashTable::kAbsent) continue;
+          local.Insert(h, key);
+          HDB_RETURN_IF_ERROR(
+              wk.Charge(EncodedValuesBytes(row.data(), row.size()) + 32));
+        }
+        return true;
+      });
+      if (s.ok()) Merge(local);
+      return s;
+    }));
     order_ = merged_.EncodedOrder();
     pos_ = 0;
     return Status::OK();
@@ -1001,54 +790,13 @@ class ExchangeDistinctOp : public Operator {
   }
 
   void Close() override {
-    const uint64_t charged = charged_.exchange(0, std::memory_order_relaxed);
-    if (charged > 0 && ec_->memory != nullptr) {
-      ec_->memory->ReleaseBytes(charged);
-    }
+    crew_.Close();
     merged_.Clear();
     order_.clear();
   }
 
-  uint64_t MemoryBytes() const override {
-    return charged_.load(std::memory_order_relaxed);
-  }
-
  private:
-  Status Worker(int w) {
-    ExecContext* wc = &wctxs_[w];
-    HDB_ASSIGN_OR_RETURN(auto root,
-                         BuildExecutor(plan_->children[0].get(), wc));
-    KeyTable local;
-    Status s = DedupLoop(wc, root.get(), &local);
-    root->Close();
-    if (s.ok()) MergeLocal(local);
-    return s;
-  }
-
-  Status DedupLoop(ExecContext* wc, Operator* root, KeyTable* local) {
-    HDB_RETURN_IF_ERROR(root->Open());
-    RowBatch batch(wc->num_quantifiers + 1, WorkerBatchCap(*wc), wc->params);
-    for (;;) {
-      HDB_ASSIGN_OR_RETURN(const bool more, root->NextBatch(&batch));
-      if (!more) return Status::OK();
-      const size_t n = batch.ActiveCount();
-      for (size_t i = 0; i < n; ++i) {
-        const table::Row& row = batch.output(batch.Active(i));
-        auto key = [&](size_t k) -> const Value& { return row[k]; };
-        const uint64_t h = KeyHash(row.size(), key);
-        if (local->size() == 0) local->Reset(row.size());
-        if (local->Find(h, key) != FlatHashTable::kAbsent) continue;
-        local->Insert(h, key);
-        const uint64_t bytes = EncodedValuesBytes(row.data(), row.size()) + 32;
-        if (wc->memory != nullptr) {
-          HDB_RETURN_IF_ERROR(wc->memory->ChargeBytesFromWorker(bytes));
-        }
-        charged_.fetch_add(bytes, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void MergeLocal(const KeyTable& local) {
+  void Merge(const KeyTable& local) {
     LockGuard lock(merge_mu_);
     if (merged_.size() == 0 && local.size() > 0) merged_.Reset(local.arity());
     for (uint32_t e = 0; e < local.size(); ++e) {
@@ -1061,16 +809,7 @@ class ExchangeDistinctOp : public Operator {
     }
   }
 
-  const PlanNode* plan_;
-  ExecContext* ec_;
-  const int workers_;
-  std::unique_ptr<MorselDispenser> dispenser_;
-  std::shared_ptr<ParallelismGovernor::Pipeline> pipeline_;
-  std::vector<ExecContext> wctxs_;
-  RankedMutex<LockRank::kParallelMerge> merge_mu_;
   KeyTable merged_ GUARDED_BY(merge_mu_);
-  std::atomic<int> revoked_{0};
-  std::atomic<uint64_t> charged_{0};
   std::vector<uint32_t> order_;  // merged_ entries in emission order
   size_t pos_ = 0;
 };

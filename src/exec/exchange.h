@@ -12,16 +12,25 @@ namespace hdb::exec {
 /// Builds the exchange (morsel-parallel) operator for a plan node the
 /// optimizer marked parallel-eligible (plan->parallel_workers > 1) and
 /// the ParallelismGovernor granted `workers` > 1 workers (DESIGN.md §13,
-/// paper §4.4). Dispatch by kind:
+/// paper §4.4).
 ///
-///  * kSeqScan / kFilter / kProject — ExchangeScanOp: workers each run a
-///    private copy of the fragment over a shared MorselDispenser and
-///    stream row packets to the coordinator through a bounded queue.
-///  * kHashJoin — ExchangeHashJoinOp: parallel partitioned build over the
-///    inner fragment (per-worker staging, partition-parallel merge), then
-///    parallel probe over the outer fragment.
-///  * kHashGroupBy / kHashDistinct — parallel pre-aggregation: per-worker
-///    partial maps merged at the barrier, serial emission.
+/// Every exchange runs its workers through one crew runner: each worker
+/// executes a private copy of a {Filter, Project}* over SeqScan fragment
+/// against one shared MorselDispenser and hands each batch to the
+/// exchange's per-batch body; the runner owns the worker contexts, the
+/// morsel-boundary revocation probes, trace propagation, the first worker
+/// error, one fold of the workers' counters and the release of what they
+/// charged. The bodies are the serial operators' batch code — BatchExprs
+/// key reads (exec/batch_eval.h) and GroupAccumulator / GroupEmitter
+/// (exec/agg.h). Dispatch by kind:
+///
+///  * kSeqScan / kFilter / kProject — ExchangeScanOp: each worker batch
+///    becomes a row packet on a bounded queue the coordinator drains.
+///  * kHashJoin — ExchangeHashJoinOp: a build crew stages rows into 32
+///    hash partitions per worker; the probe crew merges disjoint
+///    partitions, meets at a latch, then probes and streams packets.
+///  * kHashGroupBy / kHashDistinct — per-worker GroupTable / KeyTable
+///    merged under a latch as each worker drains; serial emission.
 ///
 /// The caller (BuildExecutorNode) is responsible for falling back to the
 /// serial operator when the grant is a single worker, so the parallel

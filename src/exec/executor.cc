@@ -14,6 +14,7 @@
 
 #include "common/ophash.h"
 #include "exec/agg.h"
+#include "exec/batch_eval.h"
 #include "exec/exchange.h"
 #include "exec/hash_table.h"
 #include "exec/spill.h"
@@ -296,16 +297,7 @@ size_t EffectiveBatchCap(ExecContext* ec, size_t row_bytes_hint) {
 /// released.
 Status ChargeArena(ExecContext* ec, uint64_t bytes, uint64_t* charged) {
   if (bytes == 0) return Status::OK();
-  if (ec->memory != nullptr) {
-    // Exchange workers must never run the coordinator-only spill
-    // scheduler (memory_governor.h concurrency contract); their charges
-    // take the latch-only path and rely on Eq. (4) for the hard stop.
-    if (ec->in_parallel_worker) {
-      HDB_RETURN_IF_ERROR(ec->memory->ChargeBytesFromWorker(bytes));
-    } else {
-      HDB_RETURN_IF_ERROR(ec->memory->ChargeBytes(bytes));
-    }
-  }
+  HDB_RETURN_IF_ERROR(ChargeQuota(ec, bytes));
   *charged += bytes;
   ec->batch_arena_live += bytes;
   ec->stats.batch_arena_peak_bytes =
@@ -315,14 +307,9 @@ Status ChargeArena(ExecContext* ec, uint64_t bytes, uint64_t* charged) {
 
 void ReleaseArena(ExecContext* ec, uint64_t* charged) {
   if (*charged == 0) return;
-  if (ec->memory != nullptr) ec->memory->ReleaseBytes(*charged);
+  ReleaseQuota(ec, *charged);
   ec->batch_arena_live -= std::min(ec->batch_arena_live, *charged);
   *charged = 0;
-}
-
-void InitScratchCtx(ExecContext* ec, RowContext* ctx) {
-  ctx->rows.assign(ec->num_quantifiers + 1, nullptr);
-  ctx->params = ec->params;
 }
 
 /// Applies residual conjuncts to a batch by compacting its selection
@@ -377,85 +364,6 @@ std::vector<CheckedPred> PrepareUnobserved(const ExprPtr& e) {
   }
   return out;
 }
-
-/// Evaluates `e` for the row bound in `ctx`, fast-pathing the ubiquitous
-/// plain-column case: a single copy-assign (which keeps `out`'s string
-/// capacity) instead of an Evaluate tree walk returning a fresh
-/// Result<Value> per row.
-Status EvalExprInto(const Expr* e, const RowContext& ctx, Value* out) {
-  if (e->kind() == ExprKind::kColumnRef) {
-    const table::Row* r = ctx.rows[e->quantifier()];
-    if (r != nullptr) {
-      *out = (*r)[e->column()];
-      return Status::OK();
-    }
-  }
-  HDB_ASSIGN_OR_RETURN(Value v, e->Evaluate(ctx));
-  *out = std::move(v);
-  return Status::OK();
-}
-
-/// Reads a fixed list of expressions — projections, join keys, group keys,
-/// aggregate arguments — at each position of a batch (DESIGN.md §9). A
-/// plain column reference whose slot the batch binds is read in place from
-/// RowBatch::Column. Any other expression is evaluated with EvalExprInto
-/// into a scratch Value; that needs the row bound into a RowContext first
-/// (needs_row()). A null expression (COUNT(*)'s argument) reads as NULL.
-class BatchExprs {
- public:
-  explicit BatchExprs(const std::vector<const Expr*>& exprs) {
-    items_.reserve(exprs.size());
-    for (const Expr* e : exprs) items_.emplace_back(e);
-  }
-
-  size_t size() const { return items_.size(); }
-
-  /// Looks up `b`'s pointer columns; call once per batch.
-  void Bind(const RowBatch& b) {
-    needs_row_ = false;
-    for (Item& it : items_) {
-      const Expr* e = it.expr;
-      it.col = nullptr;
-      if (e == nullptr) continue;
-      if (e->kind() == ExprKind::kColumnRef && e->quantifier() >= 0 &&
-          static_cast<size_t>(e->quantifier()) < b.num_slots()) {
-        it.col = b.Column(static_cast<size_t>(e->quantifier()));
-        it.column = e->column();
-      }
-      if (it.col == nullptr) needs_row_ = true;
-    }
-  }
-
-  /// True when some expression is evaluated rather than read in place:
-  /// bind each row into a RowContext and call Eval before Get.
-  bool needs_row() const { return needs_row_; }
-
-  /// Evaluates the expressions not read in place for the row in `ctx`.
-  Status Eval(const RowContext& ctx) {
-    for (Item& it : items_) {
-      if (it.col != nullptr || it.expr == nullptr) continue;
-      HDB_RETURN_IF_ERROR(EvalExprInto(it.expr, ctx, &it.scratch));
-    }
-    return Status::OK();
-  }
-
-  /// Expression `i` at batch position `pos`.
-  const Value& Get(size_t i, size_t pos) const {
-    const Item& it = items_[i];
-    return it.col != nullptr ? (*it.col[pos])[it.column] : it.scratch;
-  }
-
- private:
-  struct Item {
-    explicit Item(const Expr* e) : expr(e) {}
-    const Expr* expr;
-    const table::Row* const* col = nullptr;  // null: evaluated
-    int column = 0;
-    Value scratch;
-  };
-  std::vector<Item> items_;
-  bool needs_row_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Column pruning (DESIGN.md §9): which columns of each quantifier's base
@@ -1156,10 +1064,7 @@ class ProjectOp : public Operator {
     table::Row* outcol = b->OutputColumn();
     for (size_t i = 0; i < n; ++i) {
       const size_t pos = b->Active(i);
-      if (exprs_.needs_row()) {
-        b->BindRow(pos, &scratch_);
-        HDB_RETURN_IF_ERROR(exprs_.Eval(scratch_));
-      }
+      HDB_RETURN_IF_ERROR(exprs_.Prepare(*b, pos, &scratch_));
       table::Row& out = outcol[pos];
       out.resize(nproj);
       for (size_t j = 0; j < nproj; ++j) out[j] = exprs_.Get(j, pos);
@@ -1274,10 +1179,8 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
 
   void Close() override {
     child_->Close();
-    if (ec_->memory != nullptr) {
-      ec_->memory->UnregisterConsumer(this);
-      ec_->memory->ReleaseBytes(bytes_held_);
-    }
+    if (ec_->memory != nullptr) ec_->memory->UnregisterConsumer(this);
+    ReleaseQuota(ec_, bytes_held_);
     bytes_held_ = 0;
     seen_.Clear();
     emitted_spill_.reset();
@@ -1356,10 +1259,7 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
     Remember(h, row);
     const uint64_t bytes = EncodedValuesBytes(row.data(), row.size()) + 32;
     bytes_held_ += bytes;
-    if (ec_->memory != nullptr) {
-      HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
-    }
-    return Status::OK();
+    return ChargeQuota(ec_, bytes);
   }
 
   /// Deferred mode: dedup against the (droppable) cache, then append the
@@ -1387,9 +1287,8 @@ class HashDistinctOp : public Operator, public MemoryConsumer {
   Status PrepareDrain() {
     draining_ = true;  // before any charge: we are no longer a victim
     seen_.Clear();
-    const uint64_t stale = bytes_held_;
+    ReleaseQuota(ec_, bytes_held_);
     bytes_held_ = 0;
-    if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(stale);
     auto reader = emitted_spill_->Read();
     std::vector<Value> tuple;
     std::vector<Value> key;
@@ -1775,10 +1674,8 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     inner_->Close();
     WithdrawOwnFilter();
     if (alt_probe_ != nullptr) alt_probe_->Close();
-    if (ec_->memory != nullptr) {
-      ec_->memory->UnregisterConsumer(this);
-      ec_->memory->ReleaseBytes(build_bytes_ + spill_loaded_bytes_);
-    }
+    if (ec_->memory != nullptr) ec_->memory->UnregisterConsumer(this);
+    ReleaseQuota(ec_, build_bytes_ + spill_loaded_bytes_);
     build_bytes_ = 0;
     spill_loaded_bytes_ = 0;
     spill_queue_.clear();
@@ -1870,10 +1767,8 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     }
     if (grant_pages == 0) grant_pages = kDefaultFilterGrantPages;
     filter_.Reset(plan_->children[1]->est_rows, grant_pages * page_bytes / 16);
-    if (ec_->memory != nullptr) {
-      HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(filter_.bytes()));
-      filter_charged_ = filter_.bytes();
-    }
+    HDB_RETURN_IF_ERROR(ChargeQuota(ec_, filter_.bytes()));
+    filter_charged_ = filter_.bytes();
     return Status::OK();
   }
 
@@ -1901,9 +1796,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
   void WithdrawOwnFilter() {
     if (filter_published_) outer_->WithdrawKeyFilter(&filter_);
     filter_published_ = false;
-    if (ec_->memory != nullptr && filter_charged_ > 0) {
-      ec_->memory->ReleaseBytes(filter_charged_);
-    }
+    ReleaseQuota(ec_, filter_charged_);
     filter_charged_ = 0;
   }
 
@@ -1944,17 +1837,15 @@ class HashJoinOp : public Operator, public MemoryConsumer {
           continue;
         }
         const uint64_t row_bytes = 48 * row.size() + 64;
-        if (ec_->memory != nullptr) {
-          // Charging may run the spill scheduler, which may evict
-          // partitions — including p — via SpillSome re-entering this
-          // operator.
-          HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(row_bytes));
-        }
+        // Charging may run the spill scheduler, which may evict
+        // partitions — including p — via SpillSome re-entering this
+        // operator.
+        HDB_RETURN_IF_ERROR(ChargeQuota(ec_, row_bytes));
         build_bytes_ += row_bytes;
         if (partition_spilled_[p]) {
           HDB_RETURN_IF_ERROR(AppendSpill(build_spill_[p].get(), row));
           build_bytes_ -= std::min(build_bytes_, row_bytes);
-          if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(row_bytes);
+          ReleaseQuota(ec_, row_bytes);
           continue;
         }
         build_rows_.push_back(row);
@@ -2019,10 +1910,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     probe_key_.Bind(*outer_batch_);
     for (size_t i = 0; i < on; ++i) {
       const size_t opos = outer_batch_->Active(i);
-      if (probe_key_.needs_row()) {
-        outer_batch_->BindRow(opos, &probe_ctx_);
-        HDB_RETURN_IF_ERROR(probe_key_.Eval(probe_ctx_));
-      }
+      HDB_RETURN_IF_ERROR(probe_key_.Prepare(*outer_batch_, opos, &probe_ctx_));
       const Value& key = probe_key_.Get(0, opos);
       if (key.is_null()) continue;
       const uint64_t h = key.Hash();
@@ -2084,9 +1972,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
     // side and its charge so spilled-partition replay starts from a clean
     // account, then queue every spilled pair as grace-hash work.
     ClearTable();
-    if (ec_->memory != nullptr && build_bytes_ > 0) {
-      ec_->memory->ReleaseBytes(build_bytes_);
-    }
+    ReleaseQuota(ec_, build_bytes_);
     build_bytes_ = 0;
     for (int p = 0; p < kPartitions; ++p) {
       partition_rows_[p] = 0;
@@ -2192,9 +2078,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
       HDB_ASSIGN_OR_RETURN(const bool more, reader.Next(&row));
       if (!more) break;
       const uint64_t row_bytes = 48 * row.size() + 64;
-      if (ec_->memory != nullptr) {
-        HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(row_bytes));
-      }
+      HDB_RETURN_IF_ERROR(ChargeQuota(ec_, row_bytes));
       spill_loaded_bytes_ += row_bytes;
       key_ctx.rows[build_quantifier_] = &row;
       HDB_ASSIGN_OR_RETURN(Value key, plan_->inner_key->Evaluate(key_ctx));
@@ -2213,9 +2097,7 @@ class HashJoinOp : public Operator, public MemoryConsumer {
 
   void FinishCurrentPair() {
     ec_->stats.spill_bytes_read += current_pair_.probe->byte_count();
-    if (ec_->memory != nullptr && spill_loaded_bytes_ > 0) {
-      ec_->memory->ReleaseBytes(spill_loaded_bytes_);
-    }
+    ReleaseQuota(ec_, spill_loaded_bytes_);
     spill_loaded_bytes_ = 0;
     ClearTable();
     probe_reader_.reset();
@@ -2389,28 +2271,14 @@ class HashJoinOp : public Operator, public MemoryConsumer {
 // Hash group by with the low-memory fallback (paper §4.3)
 // ---------------------------------------------------------------------------
 
-// AggState, its update/merge/finalize/encode helpers and GroupTable live
-// in exec/agg.h, shared with the parallel pre-aggregation in exchange.cc.
-
-/// Group and aggregate-argument expressions of a group-by plan node, in
-/// the order BatchExprs reads them.
-std::vector<const Expr*> GroupKeyExprs(const PlanNode* plan) {
-  std::vector<const Expr*> out;
-  for (const ExprPtr& k : plan->group_keys) out.push_back(k.get());
-  return out;
-}
-std::vector<const Expr*> AggArgExprs(const PlanNode* plan) {
-  std::vector<const Expr*> out;
-  for (const auto& a : plan->aggregates) out.push_back(a.arg.get());
-  return out;
-}
+// AggState, GroupTable and the accumulate and emission steps live in
+// exec/agg.h, shared with the parallel pre-aggregation in exchange.cc.
 
 class HashGroupByOp : public Operator, public MemoryConsumer {
  public:
   HashGroupByOp(const PlanNode* plan, std::unique_ptr<Operator> child,
                 ExecContext* ec)
-      : plan_(plan), child_(std::move(child)), ec_(ec),
-        keys_(GroupKeyExprs(plan)), args_(AggArgExprs(plan)),
+      : plan_(plan), child_(std::move(child)), ec_(ec), acc_(plan, *ec),
         groups_(plan->group_keys.size(), plan->aggregates.size()) {
     name = "hash_group_by";
   }
@@ -2424,54 +2292,24 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
     emitting_ = false;
     HDB_RETURN_IF_ERROR(Aggregate());
     emitting_ = true;
-    pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* b) override {
-    b->Reset();
-    const size_t group_slot = ec_->num_quantifiers;
-    // Bind result rows directly: results_ is stable for the whole
-    // emission phase, so no copy per group is needed.
-    const table::Row** col = b->BindSlot(group_slot);
-    size_t n = 0;
-    while (n < b->capacity() && pos_ < results_.size()) {
-      col[n++] = &results_[pos_++];
-    }
-    if (n == 0) return false;
-    b->SetSize(n);
-    if (plan_->having != nullptr) {
-      if (emit_ctx_.rows.size() != b->num_slots()) {
-        emit_ctx_.rows.assign(b->num_slots(), nullptr);
-        emit_ctx_.params = b->params();
-      }
-      uint16_t* sel = b->MutableSel();
-      size_t k = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t pos = b->Active(i);
-        b->BindRow(pos, &emit_ctx_);
-        HDB_ASSIGN_OR_RETURN(const bool ok,
-                             plan_->having->EvaluatesToTrue(emit_ctx_));
-        if (ok) sel[k++] = static_cast<uint16_t>(pos);
-      }
-      b->SetSelection(k);
-    }
-    return true;
+    return emit_.Next(ec_->num_quantifiers, plan_->having.get(), b);
   }
 
   void Close() override {
     child_->Close();
-    if (ec_->memory != nullptr) {
-      ec_->memory->UnregisterConsumer(this);
-      ec_->memory->ReleaseBytes(bytes_held_);
-    }
+    if (ec_->memory != nullptr) ec_->memory->UnregisterConsumer(this);
+    ReleaseQuota(ec_, bytes_held_);
     bytes_held_ = 0;
   }
 
   // MemoryConsumer: the low-memory fallback — flush partially computed
   // groups (keys + encoded AggStates) to a temporary stream and keep
   // aggregating; the finalize phase merges partials back (paper §4.3).
-  // Once emission starts, results_ is not spillable — it is the reserve.
+  // Once emission starts, the finalized rows are the reserve.
   SpillableStats SpillStats() const override {
     SpillableStats s;
     s.respill_cost = 2.0;
@@ -2516,75 +2354,20 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
  private:
   Status Aggregate() {
     HDB_RETURN_IF_ERROR(child_->Open());
-    RowContext ctx;
-    ctx.rows.assign(ec_->num_quantifiers + 1, nullptr);
-    ctx.params = ec_->params;
     if (child_batch_ == nullptr) {
       child_batch_ = std::make_unique<RowBatch>(
           ec_->num_quantifiers + 1, EffectiveBatchCap(ec_, 0), ec_->params);
     }
-    const size_t nkeys = plan_->group_keys.size();
-    const size_t naggs = plan_->aggregates.size();
     groups_.Clear();
-    scratch_keys_.resize(nkeys);
-    scratch_args_.resize(naggs);
     for (;;) {
       HDB_ASSIGN_OR_RETURN(const bool more,
                            child_->NextBatch(child_batch_.get()));
       if (!more) break;
-      keys_.Bind(*child_batch_);
-      args_.Bind(*child_batch_);
-      const bool bind = keys_.needs_row() || args_.needs_row();
-      const size_t bn = child_batch_->ActiveCount();
-      for (size_t r = 0; r < bn; ++r) {
-        const size_t pos = child_batch_->Active(r);
-        if (bind) {
-          child_batch_->BindRow(pos, &ctx);
-          HDB_RETURN_IF_ERROR(keys_.Eval(ctx));
-          HDB_RETURN_IF_ERROR(args_.Eval(ctx));
-        }
-        auto key = [&](size_t i) -> const Value& { return keys_.Get(i, pos); };
-        const uint64_t h = KeyHash(nkeys, key);
-        const uint32_t g = groups_.keys.Find(h, key);
-        if (g == FlatHashTable::kAbsent) {
-          HDB_RETURN_IF_ERROR(AddGroup(h, pos));
-          continue;
-        }
-        AggState* states = groups_.states_of(g);
-        for (size_t a = 0; a < naggs; ++a) {
-          AggUpdate(states[a], plan_->aggregates[a].kind, args_.Get(a, pos));
-        }
-      }
+      HDB_RETURN_IF_ERROR(
+          acc_.Fold(*child_batch_, &groups_, ec_, &bytes_held_));
     }
     if (spill_ != nullptr) HDB_RETURN_IF_ERROR(MergeSpilled());
-    results_ = groups_.Finalize(plan_->aggregates);
-    return Status::OK();
-  }
-
-  /// A row whose key is not in groups_ starts a group. Its keys and
-  /// arguments are copied out of the batch *before* the quota charge:
-  /// charging may reclaim memory by evicting a hash-join partition below
-  /// us, which frees the rows the batch points into. The charge may also
-  /// spill this operator, group included, in which case the group starts
-  /// again, uncharged (the scheduler took the account to zero).
-  Status AddGroup(uint64_t h, size_t pos) {
-    const size_t nkeys = scratch_keys_.size();
-    const size_t naggs = scratch_args_.size();
-    for (size_t i = 0; i < nkeys; ++i) scratch_keys_[i] = keys_.Get(i, pos);
-    for (size_t a = 0; a < naggs; ++a) scratch_args_[a] = args_.Get(a, pos);
-    auto key = [&](size_t i) -> const Value& { return scratch_keys_[i]; };
-    uint32_t g = groups_.Add(h, key);
-    const uint64_t bytes =
-        EncodedValuesBytes(scratch_keys_.data(), nkeys) + 64 * naggs + 64;
-    bytes_held_ += bytes;
-    if (ec_->memory != nullptr) {
-      HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(bytes));
-      if (groups_.size() == 0) g = groups_.Add(h, key);
-    }
-    AggState* states = groups_.states_of(g);
-    for (size_t a = 0; a < naggs; ++a) {
-      AggUpdate(states[a], plan_->aggregates[a].kind, scratch_args_[a]);
-    }
+    emit_.Reset(groups_.Finalize(plan_->aggregates));
     return Status::OK();
   }
 
@@ -2616,8 +2399,7 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
   const PlanNode* plan_;
   std::unique_ptr<Operator> child_;
   ExecContext* ec_;
-  BatchExprs keys_;  // group keys, read in place where plain columns
-  BatchExprs args_;  // aggregate arguments, likewise
+  GroupAccumulator acc_;
 
   GroupTable groups_;  // numbered in arrival order
   std::unique_ptr<SpillFile> spill_;
@@ -2626,15 +2408,8 @@ class HashGroupByOp : public Operator, public MemoryConsumer {
   uint64_t op_spilled_bytes_ = 0;
   uint64_t op_spilled_tuples_ = 0;
 
-  std::vector<table::Row> results_;  // finalized, in emission order
-  size_t pos_ = 0;
-
-  // Child batch plus the new-group copies (reused across the whole
-  // aggregation, so the hot loop does not allocate).
-  std::unique_ptr<RowBatch> child_batch_;
-  std::vector<Value> scratch_keys_;
-  std::vector<Value> scratch_args_;
-  RowContext emit_ctx_;
+  GroupEmitter emit_;
+  std::unique_ptr<RowBatch> child_batch_;  // reused across the aggregation
 };
 
 // ---------------------------------------------------------------------------
@@ -2711,10 +2486,8 @@ class SortOp : public Operator, public MemoryConsumer {
 
   void Close() override {
     child_->Close();
-    if (ec_->memory != nullptr) {
-      ec_->memory->UnregisterConsumer(this);
-      ec_->memory->ReleaseBytes(bytes_held_);
-    }
+    if (ec_->memory != nullptr) ec_->memory->UnregisterConsumer(this);
+    ReleaseQuota(ec_, bytes_held_);
     bytes_held_ = 0;
     merge_.reset();
     runs_.clear();
@@ -2928,12 +2701,10 @@ class SortOp : public Operator, public MemoryConsumer {
       }
       if (added > dropped) {
         bytes_held_ += added - dropped;
-        if (ec_->memory != nullptr) {
-          HDB_RETURN_IF_ERROR(ec_->memory->ChargeBytes(added - dropped));
-        }
+        HDB_RETURN_IF_ERROR(ChargeQuota(ec_, added - dropped));
       } else if (dropped > added) {
         bytes_held_ -= dropped - added;
-        if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(dropped - added);
+        ReleaseQuota(ec_, dropped - added);
       }
     }
 
@@ -2948,7 +2719,7 @@ class SortOp : public Operator, public MemoryConsumer {
     // decoded tuple per run, never the whole result.
     if (!pending_.empty()) {
       HDB_RETURN_IF_ERROR(WriteRun());
-      if (ec_->memory != nullptr) ec_->memory->ReleaseBytes(bytes_held_);
+      ReleaseQuota(ec_, bytes_held_);
       bytes_held_ = 0;
     }
     std::vector<SpillFile*> run_ptrs;

@@ -68,6 +68,8 @@ inline constexpr char kLatencyExecuteMicros[] = "latency.execute_micros";
 
 // exec/ operator-level totals, accumulated per statement from RuntimeStats.
 inline constexpr char kExecRowsScanned[] = "exec.rows_scanned";
+// Scanned rows decoded into Values (the rest were dropped on their bytes).
+inline constexpr char kExecRowsDecoded[] = "exec.rows_decoded";
 inline constexpr char kExecRowsOutput[] = "exec.rows_output";
 inline constexpr char kExecSpilledTuples[] = "exec.spilled_tuples";
 inline constexpr char kExecPartitionsEvicted[] = "exec.partitions_evicted";

@@ -5,7 +5,10 @@
 //    parallel.max_workers ∈ {2, 4, 8} must return exactly the same rows.
 //    Queries without a top-level ORDER BY are compared as multisets
 //    (exchange packet arrival order is nondeterministic by design);
-//    ORDER BY queries are additionally checked to come back sorted.
+//    ORDER BY queries are additionally checked to come back sorted. A
+//    worker's error (division by zero in each exchange kind) must come
+//    back as the serial run's, and exec.rows_decoded must move as it does
+//    serially.
 //  * ParallelRevocation: a parallel statement is revoked mid-query —
 //    memory pressure end-to-end (the group-by crew crosses Eq. (5) and
 //    sheds workers at a morsel boundary), MPL pressure at the governor
@@ -26,6 +29,7 @@
 #include "exec/admission_gate.h"
 #include "exec/memory_governor.h"
 #include "exec/parallel_governor.h"
+#include "obs/metric_names.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -172,6 +176,22 @@ const CorpusQuery kCorpus[] = {
      true},
     // Small table: under min_table_rows, stays serial by seeding.
     {"SELECT tag, COUNT(*) FROM dim GROUP BY tag", false, false},
+    // Keys and arguments the workers read through the serial operators'
+    // batch code: computed, NULL and two-column keys, computed aggregate
+    // arguments, a scalar aggregate over no rows, NULL probe keys and a
+    // computed join condition.
+    {"SELECT g + 1, COUNT(*) FROM fact GROUP BY g + 1", false, true},
+    {"SELECT v, COUNT(*) FROM fact GROUP BY v", false, true},
+    {"SELECT g, v, COUNT(*) FROM fact WHERE k < 100 GROUP BY g, v", false,
+     true},
+    {"SELECT COUNT(*), SUM(v), MIN(s) FROM fact WHERE g > 100", false, true},
+    {"SELECT DISTINCT g, v FROM fact WHERE k < 100", false, true},
+    {"SELECT fact.g, dim.name FROM fact, dim WHERE fact.v = dim.k", false,
+     true},
+    {"SELECT fact.k, dim.tag FROM fact, dim "
+     "WHERE fact.k = dim.k AND fact.v < dim.tag * 100",
+     false, true},
+    {"SELECT g, SUM(v * 2), AVG(v + k) FROM fact GROUP BY g", false, true},
 };
 
 TEST(ParallelParity, CorpusMatchesSerialAtEveryWidth) {
@@ -208,6 +228,87 @@ TEST(ParallelParity, CorpusMatchesSerialAtEveryWidth) {
       // count is contractual (and it ran serial anyway — same rows).
       EXPECT_EQ(Canonical(r, q.ordered), expected[i]);
     }
+  }
+}
+
+// A worker's error reaches the client as the serial run's error, for each
+// exchange kind, and leaves the connection able to run parallel queries:
+// the crew is joined and its charges released on the error path.
+TEST(ParallelParity, WorkerErrorMatchesSerialAndConnectionRecovers) {
+  const char* kFailing[] = {
+      "SELECT k / (g - 7) FROM fact",
+      "SELECT g, SUM(k / (g - 7)) FROM fact GROUP BY g",
+      "SELECT DISTINCT k / (g - 7) FROM fact",
+      "SELECT fact.k, dim.tag FROM fact, dim "
+      "WHERE fact.k = dim.k AND fact.v / (fact.g - 7) > 1",
+  };
+  const char* kAfter = "SELECT g, COUNT(*), SUM(v) FROM fact GROUP BY g";
+
+  Db serial;
+  LoadCorpusTables(serial);
+  std::vector<std::string> serial_errors;
+  for (const char* sql : kFailing) {
+    auto r = serial.c->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    serial_errors.push_back(r.status().ToString());
+    EXPECT_NE(serial_errors.back().find("division by zero"),
+              std::string::npos)
+        << serial_errors.back();
+  }
+  const auto expected_after = Canonical(serial.Exec(kAfter), false);
+
+  for (const int workers : {2, 4, 8}) {
+    SCOPED_TRACE("max_workers=" + std::to_string(workers));
+    Db par(ParallelOptions(workers));
+    LoadCorpusTables(par);
+    for (size_t i = 0; i < std::size(kFailing); ++i) {
+      SCOPED_TRACE(kFailing[i]);
+      // The statement is planned parallel, so the error comes from a
+      // worker.
+      const QueryResult plan =
+          par.Exec(std::string("EXPLAIN ") + kFailing[i]);
+      EXPECT_NE(plan.explain.find("parallel<="), std::string::npos)
+          << plan.explain;
+      auto r = par.c->Execute(kFailing[i]);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().ToString(), serial_errors[i]);
+      const QueryResult after = par.Exec(kAfter);
+      EXPECT_GT(after.exec_stats.parallel_pipelines, 0u);
+      EXPECT_EQ(Canonical(after, false), expected_after);
+    }
+  }
+}
+
+// exec.rows_decoded counts each decoded scan row once: a filtered
+// parallel scan moves the registry counter exactly as the serial run does
+// (the workers' counters are folded into the statement's once).
+TEST(ParallelParity, RowsDecodedCounterMatchesSerial) {
+  const char* kSql = "SELECT k, v FROM fact WHERE g < 5 AND v > 100";
+  auto decoded = [](Db& db) {
+    for (const auto& m : db.database->metrics().Snapshot()) {
+      if (m.name == obs::kExecRowsDecoded) return m.value;
+    }
+    ADD_FAILURE() << "no " << obs::kExecRowsDecoded << " counter";
+    return 0.0;
+  };
+  auto delta = [&](Db& db, bool parallel) {
+    const double before = decoded(db);
+    const QueryResult r = db.Exec(kSql);
+    EXPECT_EQ(r.exec_stats.parallel_pipelines > 0, parallel);
+    EXPECT_LT(r.exec_stats.rows_decoded, r.exec_stats.rows_scanned);
+    EXPECT_EQ(decoded(db) - before,
+              static_cast<double>(r.exec_stats.rows_decoded));
+    return decoded(db) - before;
+  };
+  Db serial;
+  LoadCorpusTables(serial);
+  const double expected = delta(serial, false);
+  EXPECT_GT(expected, 0);
+  for (const int workers : {2, 4, 8}) {
+    SCOPED_TRACE("max_workers=" + std::to_string(workers));
+    Db par(ParallelOptions(workers));
+    LoadCorpusTables(par);
+    EXPECT_EQ(delta(par, true), expected);
   }
 }
 
